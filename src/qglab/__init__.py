@@ -23,7 +23,7 @@ from .diagnostics import (
     tail_bound_check,
     vorticity_residual,
 )
-from .initial_data import make_well_prepared_data, spectrum_field
+from .initial_data import make_well_prepared_data
 from .operators import (
     Decomposition,
     apply_diffusion,

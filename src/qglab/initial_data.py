@@ -17,20 +17,9 @@ import numpy as np
 
 from .operators import biot_savart, project_osc
 from .diagnostics import sobolev_norm
-from .spectral import dealias, enforce_mean_zero, leray_project, to_spectral
+from .spectral import enforce_mean_zero, leray_project, random_scalar
 
-__all__ = ["spectrum_field", "make_well_prepared_data"]
-
-
-def spectrum_field(grid, rng, peak_k, extra_smoothness=0.0):
-    """Random mean-zero scalar with a Gaussian ring spectrum at |k|=peak_k."""
-    noise = rng.standard_normal((grid.n,) * 3)
-    f = to_spectral(grid, noise)
-    kmag = np.sqrt(grid.kmag2) * (grid.box_length / (2.0 * np.pi))
-    f *= np.exp(-0.5 * (kmag - peak_k) ** 2)
-    if extra_smoothness:
-        f *= (1.0 + kmag) ** (-extra_smoothness)
-    return enforce_mean_zero(dealias(grid, f))
+__all__ = ["make_well_prepared_data"]
 
 
 def make_well_prepared_data(grid, config, *, osc_h_minus1=None):
@@ -45,7 +34,7 @@ def make_well_prepared_data(grid, config, *, osc_h_minus1=None):
         osc_h_minus1 = init.osc_amplitude * config.params.epsilon
 
     rng = np.random.default_rng(init.seed)
-    omega_raw = spectrum_field(grid, rng, init.spectrum_peak_k)
+    omega_raw = random_scalar(grid, rng, init.spectrum_peak_k)
     U_qg = np.zeros((4,) + (grid.n,) * 3, dtype=np.complex128)
     if init.qg_amplitude > 0:
         qg_raw = biot_savart(grid, omega_raw, froude)
@@ -60,8 +49,8 @@ def make_well_prepared_data(grid, config, *, osc_h_minus1=None):
             osc_rng = np.random.default_rng((init.seed, 1, attempt))
             raw = np.stack(
                 [
-                    spectrum_field(grid, osc_rng, init.spectrum_peak_k,
-                                   init.osc_extra_smoothness)
+                    random_scalar(grid, osc_rng, init.spectrum_peak_k,
+                                  init.osc_extra_smoothness)
                     for _ in range(4)
                 ]
             )

@@ -20,16 +20,15 @@ E = exp(dt M), Eh = exp(dt/2 M) and N(U) = -P(v . grad U),
     k4 = N(E U + dt Eh k3)
     U_next = E U + (dt/6) (E k1 + 2 Eh (k2 + k3) + k4).
 
-Mode exponentials come from a batched eigendecomposition; modes whose
-eigenvector basis is ill-conditioned (the symbol is defective, e.g. purely
-vertical modes coupling v3 to theta through a Jordan block) fall back to
-scaling-and-squaring.
+Eh comes from batched scaling-and-squaring over all modes, which stays
+accurate where M is non-normal or defective, and E = Eh Eh.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -55,10 +54,6 @@ __all__ = [
     "PERunRecord",
     "default_dt",
 ]
-
-# eig-based exponentials degrade like eps_machine * cond(V)^2; above this
-# conditioning the certified scaling-and-squaring path takes over
-_COND_LIMIT = 1e4
 
 
 class BlowUpError(RuntimeError):
@@ -105,35 +100,13 @@ def _linear_symbols(grid, params):
     return m
 
 
-def _expm_pair(m, dt):
-    """exp(dt*m) and exp(dt/2*m) for a real (N,4,4) batch.
-
-    One eigendecomposition serves both exponents; defective or
-    ill-conditioned modes are redone with scipy's scaling-and-squaring.
-    """
-    w, v = np.linalg.eig(m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.linalg.cond(v)
-    bad = ~np.isfinite(cond) | (cond > _COND_LIMIT)
-    v_safe = np.where(bad[:, None, None], np.eye(4, dtype=v.dtype), v)
-    vinv = np.linalg.inv(v_safe)
-    full = (v_safe * np.exp(dt * w)[:, None, :]) @ vinv
-    half = (v_safe * np.exp(0.5 * dt * w)[:, None, :]) @ vinv
-
-    bad |= ~np.isfinite(full).all(axis=(1, 2)) | ~np.isfinite(half).all(axis=(1, 2))
-    if np.any(bad):
-        full[bad] = scipy.linalg.expm(dt * m[bad])
-        half[bad] = scipy.linalg.expm(0.5 * dt * m[bad])
-    return full.real, half.real
-
-
 @dataclass
 class LinearPropagator:
     """Cached per-mode exponentials of the stiff linear symbol.
 
-    Matrices are stored as (4, 4, n, n, n) real arrays; ``full[a, b]`` is the
-    (a, b) entry of exp(dt * M) over all modes. ``matrix_at`` recovers the
-    conventional 4x4 matrix of a single mode.
+    ``full`` and ``half`` are (4, 4, n, n, n) real views into one stacked
+    array; ``full[a, b]`` is the (a, b) entry of exp(dt * M) over all modes.
+    ``matrix_at`` recovers the conventional 4x4 matrix of a single mode.
     """
 
     grid: object
@@ -183,16 +156,12 @@ def build_propagator(grid, params, dt):
         return cached
 
     n = grid.n
-    m = _linear_symbols(grid, params)
-    full, half = _expm_pair(m, float(dt))
-    full = full.reshape(n, n, n, 4, 4)
-    half = half.reshape(n, n, n, 4, 4)
-    full[0, 0, 0] = 0.0
-    half[0, 0, 0] = 0.0
-    full = np.ascontiguousarray(np.moveaxis(full, (3, 4), (0, 1)))
-    half = np.ascontiguousarray(np.moveaxis(half, (3, 4), (0, 1)))
+    half = scipy.linalg.expm((0.5 * float(dt)) * _linear_symbols(grid, params))
+    pair = np.stack([half @ half, half]).reshape(2, n, n, n, 4, 4)
+    pair[:, 0, 0, 0] = 0.0
+    pair = np.ascontiguousarray(np.moveaxis(pair, (4, 5), (1, 2)))
     prop = LinearPropagator(grid=grid, params=params, dt=float(dt),
-                            full=full, half=half)
+                            full=pair[0], half=pair[1])
     _PROP_CACHE[key] = prop
     if len(_PROP_CACHE) > _PROP_CACHE_SIZE:
         _PROP_CACHE.popitem(last=False)
@@ -204,22 +173,25 @@ def _nonlinear(grid, U):
     return -leray_project(grid, advect(grid, U[:3], U))
 
 
+def _lawson_rk4(U, h, rhs, expo_full, expo_half):
+    """One integrating-factor RK4 step of size h for dU/dt = M U + rhs(U);
+    ``expo_full`` and ``expo_half`` apply exp(h M) and exp(h/2 M)."""
+    EU = expo_full(U)
+    k1 = rhs(U)
+    EhU = expo_half(U)
+    k2 = rhs(EhU + (0.5 * h) * expo_half(k1))
+    k3 = rhs(EhU + (0.5 * h) * k2)
+    k4 = rhs(EU + h * expo_half(k3))
+    return EU + (h / 6.0) * (expo_full(k1) + 2.0 * expo_half(k2 + k3) + k4)
+
+
 def pe_step(U, prop, *, nonlinear=True):
     """One integrating-factor RK4 step of size prop.dt."""
-    grid = prop.grid
-    h = prop.dt
-    EU = prop.apply_full(U)
     if nonlinear:
-        k1 = _nonlinear(grid, U)
-        EhU = prop.apply_half(U)
-        k2 = _nonlinear(grid, EhU + (0.5 * h) * prop.apply_half(k1))
-        k3 = _nonlinear(grid, EhU + (0.5 * h) * k2)
-        k4 = _nonlinear(grid, EU + h * prop.apply_half(k3))
-        out = EU + (h / 6.0) * (
-            prop.apply_full(k1) + 2.0 * prop.apply_half(k2 + k3) + k4
-        )
+        out = _lawson_rk4(U, prop.dt, partial(_nonlinear, prop.grid),
+                          prop.apply_full, prop.apply_half)
     else:
-        out = EU
+        out = prop.apply_full(U)
     if not np.isfinite(out.view(np.float64)).all():
         raise BlowUpError(float("nan"), "non-finite state after step")
     return out

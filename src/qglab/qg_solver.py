@@ -16,12 +16,13 @@ each stage costs four scalar transforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .diagnostics import NormSeries, hs_channel, sobolev_norm
 from .operators import biot_savart, qg_diffusion_symbol
-from .pe_solver import BlowUpError
+from .pe_solver import BlowUpError, _lawson_rk4
 from .spectral import (
     enforce_mean_zero,
     inverse_anisotropic_laplacian,
@@ -51,21 +52,12 @@ def qg_rhs(grid, omega, params):
     return -spectral_product(grid, prod)
 
 
-def _lawson_step(grid, omega, params, h, efull, ehalf):
-    k1 = qg_rhs(grid, omega, params)
-    eo = ehalf * omega
-    k2 = qg_rhs(grid, eo + (0.5 * h) * ehalf * k1, params)
-    k3 = qg_rhs(grid, eo + (0.5 * h) * k2, params)
-    fo = efull * omega
-    k4 = qg_rhs(grid, fo + h * ehalf * k3, params)
-    return fo + (h / 6.0) * (efull * k1 + 2.0 * ehalf * (k2 + k3) + k4)
-
-
 def qg_step(grid, omega, dt, params):
     """One integrating-factor RK4 step with the exact diffusion factor."""
     sym = qg_diffusion_symbol(grid, params.nu, params.nu_prime, params.froude)
-    return _lawson_step(grid, omega, params, dt, np.exp(dt * sym),
-                        np.exp(0.5 * dt * sym))
+    return _lawson_rk4(omega, dt, partial(qg_rhs, grid, params=params),
+                       partial(np.multiply, np.exp(dt * sym)),
+                       partial(np.multiply, np.exp(0.5 * dt * sym)))
 
 
 @dataclass
@@ -103,8 +95,9 @@ def qg_run(grid, omega0, params, t_end, dt, diag):
         raise ValueError(f"t_end={t_end} is not an integer multiple of dt={dt}")
 
     sym = qg_diffusion_symbol(grid, params.nu, params.nu_prime, params.froude)
-    efull = np.exp(dt * sym)
-    ehalf = np.exp(0.5 * dt * sym)
+    rhs = partial(qg_rhs, grid, params=params)
+    efull = partial(np.multiply, np.exp(dt * sym))
+    ehalf = partial(np.multiply, np.exp(0.5 * dt * sym))
 
     omega = enforce_mean_zero(omega0.astype(np.complex128))
     series = NormSeries()
@@ -127,7 +120,7 @@ def qg_run(grid, omega0, params, t_end, dt, diag):
 
     for step in range(1, n_steps + 1):
         t = step * dt
-        omega = _lawson_step(grid, omega, params, dt, efull, ehalf)
+        omega = _lawson_rk4(omega, dt, rhs, efull, ehalf)
         omega = enforce_mean_zero(omega)
         if not np.isfinite(omega.view(np.float64)).all():
             raise BlowUpError(t, "non-finite vorticity")

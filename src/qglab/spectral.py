@@ -327,13 +327,16 @@ def max_divergence(grid, v):
     return float(rel.max() / vmax)
 
 
-def random_scalar(grid, rng, peak_k=2.0, width=1.0):
+def random_scalar(grid, rng, peak_k=2.0, extra_smoothness=0.0):
     """Random smooth mean-zero scalar: white noise shaped by a Gaussian
-    ring spectrum around |k| = peak_k, dealiased."""
+    ring spectrum around |k| = peak_k, optionally damped by
+    (1 + |k|)^(-extra_smoothness), dealiased."""
     noise = rng.standard_normal((grid.n,) * 3)
     f = to_spectral(grid, noise)
     kmag = np.sqrt(grid.kmag2) * (grid.box_length / (2.0 * np.pi))
-    f *= np.exp(-0.5 * ((kmag - peak_k) / width) ** 2)
+    f *= np.exp(-0.5 * (kmag - peak_k) ** 2)
+    if extra_smoothness:
+        f *= (1.0 + kmag) ** (-extra_smoothness)
     return enforce_mean_zero(dealias(grid, f))
 
 

@@ -52,6 +52,10 @@ METRIC_NAMES = (
 
 _QGDIFF_S = (0.5, 1.0, 1.5, 2.0)
 
+# H^s channels of the oscillating part read by the E^s metrics (s and s+1
+# for s in -1, 0, 1/2); diag.s_list must record each of them
+_OSC_S = (-1.0, 0.0, 0.5, 1.0, 1.5)
+
 
 def params_from_config(config, epsilon=None):
     p = config.params
@@ -128,6 +132,12 @@ def run_convergence_sweep(config, *, progress=None):
 
     A blow-up in any run aborts the sweep, naming the offending epsilon.
     """
+    missing = [s for s in _OSC_S if s not in config.diag.s_list]
+    if missing:
+        raise ConfigError(
+            "diag.s_list lacks " + ", ".join(f"{s:g}" for s in missing)
+            + ", which the sweep's E^s metrics read"
+        )
     grid = Grid(config.grid.n, config.grid.box_length)
     epsilons = tuple(config.sweep.epsilons)
     froude = config.params.froude

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qglab
 from qglab import NormSeries
 from qglab.cli import cli_main
 from qglab.config import (
@@ -122,6 +128,33 @@ class TestCLI:
         assert len(text.strip().splitlines()) == 3  # header + 2 epsilons
         assert (out / "sweep.gp").exists()
         assert "slope" in capsys.readouterr().out
+
+    def test_sweep_rejects_s_list_missing_metric_channels(
+        self, config_path, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("pe_run called before the config was checked")
+
+        monkeypatch.setattr(qglab.sweep, "pe_run", no_run)
+        out = tmp_path / "out"
+        code = cli_main(["sweep", "--config", str(config_path), "--out", str(out),
+                         "--override", "diag.s_list = 0, 1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "diag.s_list" in err and "-1, 0.5, 1.5" in err
+        assert not out.exists()
+
+    def test_python_m_cli_help(self):
+        src = Path(qglab.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run([sys.executable, "-m", "qglab.cli", "--help"],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: qglab")
 
     def test_decompose(self, config_path, tmp_path):
         out = tmp_path / "out"

@@ -91,9 +91,10 @@ class TestPropagator:
             ref = np.exp(-1e-2 * 0.1 * k2) * np.eye(4)
             assert np.abs(prop.matrix_at(*idx) - ref).max() < 1e-10
 
-    def test_vertical_mode_rotation_block(self, grid8):
+    @pytest.mark.parametrize("froude", [1.0, 0.5])
+    def test_vertical_mode_rotation_block(self, grid8, froude):
         # xi parallel to e3, inviscid: horizontal block is a rotation by dt/eps
-        p = Params(epsilon=0.05, nu=INVISCID, nu_prime=INVISCID)
+        p = Params(epsilon=0.05, nu=INVISCID, nu_prime=INVISCID, froude=froude)
         prop = build_propagator(grid8, p, 0.01)
         got = prop.matrix_at(0, 0, 2)
         angle = 0.01 / 0.05
@@ -103,14 +104,15 @@ class TestPropagator:
         assert np.abs(got[:2, :2] - rot).max() < 1e-12
         # v3 row frozen, theta picks up the shear term (defective block)
         assert np.abs(got[2] - [0, 0, 1, 0]).max() < 1e-12
-        assert np.abs(got[3] - [0, 0, angle, 1]).max() < 1e-12
+        assert np.abs(got[3] - [0, 0, angle / froude, 1]).max() < 1e-12
 
     def test_zero_mode_maps_to_zero(self, grid8, params):
         prop = build_propagator(grid8, params, 0.01)
         assert np.abs(prop.matrix_at(0, 0, 0)).max() == 0.0
 
+    @pytest.mark.parametrize("froude", [1.0, 0.5])
     @pytest.mark.parametrize("dt", [1e-2, 1e-1])
-    def test_matches_dense_ode_oracle(self, grid8, dt):
+    def test_matches_dense_ode_oracle(self, grid8, dt, froude):
         rng = np.random.default_rng(11)
         m_all = None
         for _ in range(25):
@@ -118,6 +120,7 @@ class TestPropagator:
                 epsilon=float(10 ** rng.uniform(-3, 0)),
                 nu=float(10 ** rng.uniform(-3, -1)),
                 nu_prime=float(10 ** rng.uniform(-3, -1)),
+                froude=froude,
             )
             prop = build_propagator(grid8, p, dt)
             m_all = _linear_symbols(grid8, p).reshape(8, 8, 8, 4, 4)
