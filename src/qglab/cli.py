@@ -5,7 +5,9 @@ Subcommands:
 * ``run-pe``            one full (penalized) run from the configured data
 * ``run-qg``            one limit-system run from the balanced vorticity
 * ``sweep``             the epsilon sweep with metrics, rates and exports
-* ``decompose``         QG/oscillating split of the configured initial data
+* ``decompose``         QG/oscillating split of the configured initial data;
+                        ``initial_qg.npy`` and ``initial_osc.npy`` hold complex
+                        half-spectra of shape (4, n, n, n//2+1)
 * ``check-invariants``  the structural property suite at n=32
 * ``check-conditions``  smallness-condition margins for the configured data
 

@@ -5,7 +5,9 @@ Homogeneous Sobolev norms are spectral sums over the nonzero modes,
     ||f||_{H^s} = ( sum_{k != 0} |xi_k|^(2s) |f_hat_k|^2 )^(1/2),
 
 with the box-average coefficient normalization of :mod:`qglab.spectral`, so
-s = 0 reproduces the physical L2 norm exactly. The combined space-time norm
+s = 0 reproduces the physical L2 norm exactly. The sum runs over the full
+spectrum; on the stored half-spectrum it carries the k3 plane weight of
+:meth:`Grid.norm_weights`. The combined space-time norm
 of a time series is
 
     ||f||_{E^s_T}^2 = sup_{t <= T} ||f(t)||_{H^s}^2

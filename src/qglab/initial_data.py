@@ -35,7 +35,7 @@ def make_well_prepared_data(grid, config, *, osc_h_minus1=None):
 
     rng = np.random.default_rng(init.seed)
     omega_raw = random_scalar(grid, rng, init.spectrum_peak_k)
-    U_qg = np.zeros((4,) + (grid.n,) * 3, dtype=np.complex128)
+    U_qg = np.zeros((4,) + grid.shape, dtype=np.complex128)
     if init.qg_amplitude > 0:
         qg_raw = biot_savart(grid, omega_raw, froude)
         h1 = sobolev_norm(grid, qg_raw, 1.0)

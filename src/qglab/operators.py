@@ -33,13 +33,14 @@ by mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .spectral import (
     derivative,
+    from_spectral,
     inverse_anisotropic_laplacian,
-    phys_batch,
     spectral_product,
 )
 
@@ -144,11 +145,8 @@ def osc_vorticity_source(grid, U_osc, U, U_qg, froude=1.0):
     """
     for W in (U_osc, U, U_qg):
         grid.check_shape(np.asarray(W), 4)
-    nh = grid.nh
-    ikd = grid.ikd_half
 
-    def dh(f, axis):
-        return ikd[axis - 1] * f[..., :nh]
+    dh = partial(derivative, grid)
 
     terms = [
         dh(U_osc[2], 3),                    # 0
@@ -163,7 +161,7 @@ def osc_vorticity_source(grid, U_osc, U, U_qg, froude=1.0):
     terms += [dh(U_osc[j], 3) for j in range(3)]       # 12..14
     terms += [dh(U[3], ax) for ax in (1, 2, 3)]        # 15..17
 
-    p = phys_batch(grid, np.stack(terms))
+    p = from_spectral(grid, np.stack(terms))
     q = p[0] * p[1] - p[2] * p[3] + p[4] * p[5]
     q += p[6] * p[9] + p[7] * p[10] + p[8] * p[11]
     q += p[12] * p[15] + p[13] * p[16] + p[14] * p[17]

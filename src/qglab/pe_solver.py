@@ -66,17 +66,14 @@ class BlowUpError(RuntimeError):
 
 
 def _linear_symbols(grid, params):
-    """Real 4x4 symbol of M = L - (1/eps) P A at every mode, shape (n^3,4,4)."""
-    n = grid.n
+    """Real 4x4 symbol of M = L - (1/eps) P A at every stored mode, shape
+    (n^2 (n/2+1), 4, 4); M(-xi) = M(xi), so the half-spectrum covers all."""
     F = params.froude
     kd = np.stack(
-        [
-            np.broadcast_to(grid.kd1, (n, n, n)).ravel(),
-            np.broadcast_to(grid.kd2, (n, n, n)).ravel(),
-            np.broadcast_to(grid.kd3, (n, n, n)).ravel(),
-        ],
+        [np.broadcast_to(k, grid.shape).ravel()
+         for k in (grid.kd1, grid.kd2, grid.kd3)],
         axis=-1,
-    )  # (n^3, 3)
+    )  # (n^2 (n/2+1), 3)
     k2 = np.einsum("mi,mi->m", kd, kd)
     inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
 
@@ -104,9 +101,10 @@ def _linear_symbols(grid, params):
 class LinearPropagator:
     """Cached per-mode exponentials of the stiff linear symbol.
 
-    ``full`` and ``half`` are (4, 4, n, n, n) real views into one stacked
-    array; ``full[a, b]`` is the (a, b) entry of exp(dt * M) over all modes.
-    ``matrix_at`` recovers the conventional 4x4 matrix of a single mode.
+    ``full`` and ``half`` are (4, 4, n, n, n//2+1) real views into one
+    stacked array; ``full[a, b]`` is the (a, b) entry of exp(dt * M) over the
+    half-spectrum. ``matrix_at(i, j, k)`` recovers the conventional 4x4
+    matrix of a single mode, 0 <= k <= n/2.
     """
 
     grid: object
@@ -155,9 +153,8 @@ def build_propagator(grid, params, dt):
         _PROP_CACHE.move_to_end(key)
         return cached
 
-    n = grid.n
     half = scipy.linalg.expm((0.5 * float(dt)) * _linear_symbols(grid, params))
-    pair = np.stack([half @ half, half]).reshape(2, n, n, n, 4, 4)
+    pair = np.stack([half @ half, half]).reshape((2,) + grid.shape + (4, 4))
     pair[:, 0, 0, 0] = 0.0
     pair = np.ascontiguousarray(np.moveaxis(pair, (4, 5), (1, 2)))
     prop = LinearPropagator(grid=grid, params=params, dt=float(dt),
@@ -229,11 +226,14 @@ def pe_run(grid, U0, params, t_end, dt, diag, *,
            nonlinear=True, extra_diag=None):
     """Integrate to t_end recording diagnostics.
 
-    ``diag`` supplies the H^s lists and cadences. Mean-zero and
-    divergence-free are re-enforced after every step; the L2 norm is
-    monitored for (flagged, non-fatal) increase beyond roundoff, and the run
-    aborts with :class:`BlowUpError` on non-finite values or an H^1 norm
-    exceeding 1e6 times its initial value.
+    ``diag`` supplies the H^s lists and cadences. The initial state is
+    Leray-projected once; the steps keep it divergence-free, since the
+    propagator maps solenoidal fields to solenoidal fields and N(U) is
+    projected, and the ``max_div`` channel records how well. Mean-zero is
+    re-enforced after every step; the L2 norm is monitored for (flagged,
+    non-fatal) increase beyond roundoff, and the run aborts with
+    :class:`BlowUpError` on non-finite values or an H^1 norm exceeding 1e6
+    times its initial value.
     """
     U0 = np.asarray(U0)
     grid.check_shape(U0, 4)
@@ -277,7 +277,7 @@ def pe_run(grid, U0, params, t_end, dt, diag, *,
             U = pe_step(U, prop, nonlinear=nonlinear)
         except BlowUpError as err:
             raise BlowUpError(t, err.reason) from None
-        U = enforce_mean_zero(leray_project(grid, U))
+        U = enforce_mean_zero(U)
 
         e_now = l2_norm(U)
         if e_now > e_prev * (1.0 + 1e-8) and energy_monotone:

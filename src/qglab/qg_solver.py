@@ -24,10 +24,11 @@ from .diagnostics import NormSeries, hs_channel, sobolev_norm
 from .operators import biot_savart, qg_diffusion_symbol
 from .pe_solver import BlowUpError, _lawson_rk4
 from .spectral import (
+    derivative,
     enforce_mean_zero,
+    from_spectral,
     inverse_anisotropic_laplacian,
     l2_norm,
-    phys_batch,
     spectral_product,
 )
 
@@ -37,17 +38,13 @@ __all__ = ["qg_rhs", "qg_step", "qg_run", "QGRunRecord"]
 def qg_rhs(grid, omega, params):
     """Advection term -v . grad pv (diffusion is handled exactly elsewhere)."""
     grid.check_shape(np.asarray(omega))
-    nh = grid.nh
     phi = inverse_anisotropic_laplacian(grid, omega, params.froude)
-    stack = np.stack(
-        [
-            -grid.ikd_half[1] * phi[..., :nh],   # v1 = -d2 phi
-            grid.ikd_half[0] * phi[..., :nh],    # v2 =  d1 phi
-            grid.ikd_half[0] * omega[..., :nh],  # d1 pv
-            grid.ikd_half[1] * omega[..., :nh],  # d2 pv
-        ]
-    )
-    p = phys_batch(grid, stack)
+    p = from_spectral(grid, np.stack([
+        -derivative(grid, phi, 2),   # v1
+        derivative(grid, phi, 1),    # v2
+        derivative(grid, omega, 1),  # d1 pv
+        derivative(grid, omega, 2),  # d2 pv
+    ]))
     prod = p[0] * p[2] + p[1] * p[3]
     return -spectral_product(grid, prod)
 

@@ -1,16 +1,20 @@
 r"""Periodic-box spectral core: grids, transforms, multipliers, advection.
 
-Fields live on the uniform n^3 grid of the torus [0, L)^3 and are stored as
-full complex Fourier coefficient cubes with average normalization:
+Fields live on the uniform n^3 grid of the torus [0, L)^3. Every field is
+real, so its Fourier cube is conjugate-symmetric and only the half-spectrum
+0 <= k3 <= n/2 is stored, shape (..., n, n, n/2+1), with average
+normalization:
 
-    coeff[k] = (1/n^3) * sum_x f(x) exp(-i 2*pi*k.x / L),
+    coeff[k] = (1/n^3) * sum_x f(x) exp(-i 2*pi*k.x / L).
 
-so a real field has a conjugate-symmetric cube and Parseval reads
+Each stored mode on an interior k3 plane stands for itself and its
+conjugate partner at -k; the k3 = 0 and Nyquist planes hold both partners.
+Parseval is therefore the plane-weighted sum
 
-    mean(|f|^2) = sum_k |coeff[k]|^2.
+    mean(|f|^2) = sum_k w(k3) |coeff[k]|^2,   w = 2 inside, 1 on k3 = 0, n/2.
 
-All L2 norms and inner products below use that box-average convention, which
-makes every norm a plain coefficient sum.
+All L2 norms and inner products below use that box-average convention and
+weight, which makes every norm a weighted coefficient sum.
 
 Differentiation multiplies by i*xi with xi = (2*pi/L)*k and the Nyquist row
 zeroed (the odd-derivative ambiguity of the +/- n/2 mode). The same
@@ -55,9 +59,10 @@ _AXES = (-3, -2, -1)
 
 
 class Grid:
-    """Cubic periodic grid with cached wavevector tables.
+    """Cubic periodic grid with cached half-spectrum wavevector tables.
 
-    n must be a power of two, at least 8. ``kd1/kd2/kd3`` are the scaled,
+    n must be a power of two, at least 8. Spectral fields have shape
+    ``shape = (n, n, n//2 + 1)``. ``kd1/kd2/kd3`` are the scaled,
     Nyquist-zeroed wavevectors used by every operator symbol; ``kmag2`` keeps
     the true +/- n/2 magnitudes and is reserved for norm weights.
     """
@@ -70,41 +75,29 @@ class Grid:
             raise ValueError(f"box length must be positive, got {box_length}")
         self.n = n
         self.box_length = float(box_length)
+        nh = n // 2 + 1
+        self.shape = (n, n, nh)
 
         k_int = np.fft.fftfreq(n, d=1.0 / n)  # 0, 1, ..., n/2-1, -n/2, ..., -1
         self.k_int = k_int.astype(np.int64)
         scale = 2.0 * np.pi / self.box_length
 
-        kd_int = k_int.copy()
-        kd_int[n // 2] = 0.0  # Nyquist mode carries no derivative
-        self.kd1 = (scale * kd_int).reshape(n, 1, 1)
-        self.kd2 = (scale * kd_int).reshape(1, n, 1)
-        self.kd3 = (scale * kd_int).reshape(1, 1, n)
+        k = scale * k_int
+        kd = k.copy()
+        kd[n // 2] = 0.0  # Nyquist mode carries no derivative
+        self.kd1 = kd.reshape(n, 1, 1)
+        self.kd2 = kd.reshape(1, n, 1)
+        self.kd3 = kd[:nh].reshape(1, 1, nh)
         self.kd_mag2 = self.kd1**2 + self.kd2**2 + self.kd3**2
+        self.kmag2 = (
+            k.reshape(n, 1, 1) ** 2 + k.reshape(1, n, 1) ** 2
+            + k[:nh].reshape(1, 1, nh) ** 2
+        )
 
-        k1 = (scale * k_int).reshape(n, 1, 1)
-        k2 = (scale * k_int).reshape(1, n, 1)
-        k3 = (scale * k_int).reshape(1, 1, n)
-        self.kmag2 = k1**2 + k2**2 + k3**2
-
-        cut = n / 3.0
-        keep = np.abs(k_int) <= cut
+        keep = np.abs(k_int) <= n / 3.0
         self.dealias_mask = (
-            keep.reshape(n, 1, 1) & keep.reshape(1, n, 1) & keep.reshape(1, 1, n)
-        )
-
-        self.kd_stack = np.stack(
-            [
-                np.broadcast_to(self.kd1, (n, n, n)),
-                np.broadcast_to(self.kd2, (n, n, n)),
-                np.broadcast_to(self.kd3, (n, n, n)),
-            ]
-        )
-        # half-spectrum views for the real-transform fast paths
-        self.nh = n // 2 + 1
-        self.ikd_half = np.ascontiguousarray(1j * self.kd_stack[..., : self.nh])
-        self.dealias_mask_half = np.ascontiguousarray(
-            self.dealias_mask[..., : self.nh]
+            keep.reshape(n, 1, 1) & keep.reshape(1, n, 1)
+            & keep[:nh].reshape(1, 1, nh)
         )
         self._norm_weights = {}
 
@@ -118,25 +111,27 @@ class Grid:
         return np.meshgrid(x, x, x, indexing="ij")
 
     def norm_weights(self, s):
-        """|xi|^(2s) with the k=0 entry zeroed, cached per s."""
+        """|xi|^(2s) times the k3 plane weight, k=0 zeroed, cached per s."""
         s = float(s)
         w = self._norm_weights.get(s)
         if w is None:
             with np.errstate(divide="ignore"):
                 w = self.kmag2 ** s
+            w[..., 1:-1] *= 2.0
             w[0, 0, 0] = 0.0
             w.setflags(write=False)
             self._norm_weights[s] = w
         return w
 
     def check_shape(self, f, ncomp=None):
-        n = self.n
         if ncomp is None:
-            if f.shape[-3:] != (n, n, n):
-                raise ValueError(f"field shape {f.shape} does not match grid n={n}")
-        elif f.shape != (ncomp, n, n, n):
+            if f.shape[-3:] != self.shape:
+                raise ValueError(
+                    f"field shape {f.shape} does not match grid n={self.n}"
+                )
+        elif f.shape != (ncomp,) + self.shape:
             raise ValueError(
-                f"expected shape {(ncomp, n, n, n)}, got {f.shape}"
+                f"expected shape {(ncomp,) + self.shape}, got {f.shape}"
             )
 
     def __repr__(self):
@@ -169,42 +164,24 @@ class Params:
         return max(self.nu, self.nu_prime)
 
 
-def _hermitian_complete(grid, half):
-    """Full spectral cube from the half-spectrum of a real field."""
-    n = grid.n
-    full = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
-    full[..., : n // 2 + 1] = half
-    inv = (-np.arange(n)) % n
-    full[..., n // 2 + 1 :] = np.conj(
-        half[..., inv[:, None], inv[None, :], n // 2 - 1 : 0 : -1]
-    )
-    return full
-
-
 def to_spectral(grid, samples):
-    """Forward transform of real samples, average-normalized.
-
-    Uses the real-input transform and reconstructs the redundant half of the
-    cube by conjugate symmetry.
-    """
+    """Forward real transform of samples (..., n, n, n), average-normalized;
+    returns the half-spectrum (..., n, n, n//2+1)."""
     samples = np.asarray(samples, dtype=np.float64)
-    grid.check_shape(samples)
-    half = _fft.rfftn(samples, axes=_AXES) / grid.n**3
-    return _hermitian_complete(grid, half)
+    if samples.shape[-3:] != (grid.n,) * 3:
+        raise ValueError(
+            f"sample shape {samples.shape} does not match grid n={grid.n}"
+        )
+    return _fft.rfftn(samples, axes=_AXES) / grid.n**3
 
 
 def from_spectral(grid, coeffs):
-    """Inverse transform back to real samples.
-
-    Fields are conjugate-symmetric by invariant, so only the stored half
-    spectrum is consumed.
-    """
+    """Inverse transform of half-spectra (..., n, n, n//2+1) back to real
+    samples (..., n, n, n); any leading axes form one batched transform."""
     coeffs = np.asarray(coeffs)
     grid.check_shape(coeffs)
     n = grid.n
-    return (
-        _fft.irfftn(coeffs[..., : n // 2 + 1], s=(n, n, n), axes=_AXES) * n**3
-    )
+    return _fft.irfftn(coeffs, s=(n, n, n), axes=_AXES) * n**3
 
 
 def enforce_mean_zero(f):
@@ -256,19 +233,11 @@ def leray_project(grid, v):
     return out
 
 
-def phys_batch(grid, half_stack):
-    """Physical samples of a batch of half-spectrum fields."""
-    return (
-        _fft.irfftn(half_stack, s=(grid.n,) * 3, axes=_AXES) * grid.n**3
-    )
-
-
 def spectral_product(grid, prod):
-    """Dealiased mean-zero full spectrum of a physical-space product."""
-    half = _fft.rfftn(prod, axes=_AXES) / grid.n**3
-    half *= grid.dealias_mask_half
-    half[..., 0, 0, 0] = 0.0
-    return _hermitian_complete(grid, half)
+    """Dealiased mean-zero half-spectrum of a physical-space product."""
+    out = _fft.rfftn(prod, axes=_AXES) / grid.n**3
+    out *= grid.dealias_mask
+    return enforce_mean_zero(out)
 
 
 def advect(grid, v, U):
@@ -282,11 +251,15 @@ def advect(grid, v, U):
     U = np.asarray(U)
     grid.check_shape(v, 3)
     grid.check_shape(U, 4)
-    n, nh = grid.n, grid.nh
-    stack = np.empty((15, n, n, nh), dtype=np.complex128)
-    stack[:3] = v[..., :nh]
-    stack[3:] = (grid.ikd_half[:, None] * U[None, ..., :nh]).reshape(12, n, n, nh)
-    p = phys_batch(grid, stack)
+    n = grid.n
+    # gradients are written straight into the transform batch, the largest
+    # temporary of a step, rather than built apart and copied in
+    stack = np.empty((15,) + grid.shape, dtype=np.complex128)
+    stack[:3] = v
+    for kd, out in zip((grid.kd1, grid.kd2, grid.kd3),
+                       stack[3:].reshape((3, 4) + grid.shape)):
+        np.multiply(1j * kd, U, out=out)
+    p = from_spectral(grid, stack)
     prod = np.einsum("jxyz,jixyz->ixyz", p[:3], p[3:].reshape(3, 4, n, n, n))
     return spectral_product(grid, prod)
 
@@ -296,23 +269,26 @@ def advect_scalar(grid, v, f):
     v = np.asarray(v)
     grid.check_shape(v, 3)
     grid.check_shape(f)
-    n, nh = grid.n, grid.nh
-    stack = np.empty((6, n, n, nh), dtype=np.complex128)
-    stack[:3] = v[..., :nh]
-    stack[3:] = grid.ikd_half * f[None, ..., :nh]
-    p = phys_batch(grid, stack)
+    grad = [derivative(grid, f, axis) for axis in (1, 2, 3)]
+    p = from_spectral(grid, np.stack([*v, *grad]))
     prod = np.einsum("jxyz,jxyz->xyz", p[:3], p[3:])
     return spectral_product(grid, prod)
 
 
+def _plane_sum(a):
+    """Full-spectrum sum of a per-mode real quantity stored on the half
+    spectrum: interior k3 planes count twice."""
+    return 2.0 * a.sum() - a[..., 0].sum() - a[..., -1].sum()
+
+
 def l2_norm(f):
-    """Box-average L2 norm: sqrt(sum |coeff|^2), all components pooled."""
-    return float(np.sqrt(np.sum(np.abs(f) ** 2)))
+    """Box-average L2 norm of half-spectra, all components pooled."""
+    return float(np.sqrt(_plane_sum(np.abs(f) ** 2)))
 
 
 def l2_inner(f, g):
-    """Box-average L2 inner product (real part)."""
-    return float(np.sum(f * np.conj(g)).real)
+    """Box-average L2 inner product of half-spectra (real part)."""
+    return float(_plane_sum((f * np.conj(g)).real))
 
 
 def max_divergence(grid, v):

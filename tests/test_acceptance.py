@@ -45,6 +45,8 @@ from qglab.operators import apply_diffusion, apply_qg_diffusion
 from qglab.spectral import advect_scalar
 from qglab.sweep import params_from_config, run_convergence_sweep
 
+from conftest import half_index
+
 INVISCID = 1e-30  # positive, but exp(-nu k^2 dt) == 1.0 exactly in float64
 
 
@@ -175,8 +177,8 @@ def test_criterion_2_linear_oracle():
         nu_prime = nu * float(10 ** rng.uniform(0.1, 1.0))  # nu != nu'
         p = Params(epsilon=float(10 ** rng.uniform(-3, 0)), nu=nu,
                    nu_prime=nu_prime)
-        msym = _linear_symbols(small, p).reshape(8, 8, 8, 4, 4)
-        idx = tuple(rng.integers(0, 8, size=3))
+        msym = _linear_symbols(small, p).reshape(small.shape + (4, 4))
+        idx = half_index(8, rng.integers(0, 8, size=3))
         if idx == (0, 0, 0):
             idx = (1, 2, 3)
         w0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -194,7 +196,7 @@ def test_criterion_2_linear_oracle():
     kd = (small.kd1, small.kd2, small.kd3)
     worst_drift = 0.0
     for _ in range(50):
-        idx = tuple(rng.integers(0, 8, size=3))
+        idx = half_index(8, rng.integers(0, 8, size=3))
         kvec = np.array(
             [kd[0][idx[0], 0, 0], kd[1][0, idx[1], 0], kd[2][0, 0, idx[2]]]
         )
@@ -310,7 +312,7 @@ def test_criterion_6_truncation_suite(grid):
     )
     tail_ok, contraction_ok = True, True
     for _ in range(25):
-        f = np.fft.fftn(rng.standard_normal((32, 32, 32))) / 32**3
+        f = (np.fft.fftn(rng.standard_normal((32, 32, 32))) / 32**3)[..., :17]
         f[0, 0, 0] = 0.0
         for m in range(1, 6):
             for s, alpha in ((-1.0, 0.5), (0.0, 1.0), (1.0, 0.25)):

@@ -162,12 +162,17 @@ class TestCLI:
         assert code == 0
         qg = np.load(out / "initial_qg.npy")
         osc = np.load(out / "initial_osc.npy")
-        assert qg.shape == (4, 16, 16, 16)
+        assert qg.shape == osc.shape == (4, 16, 16, 9)
         norms = (out / "initial_norms.csv").read_text().splitlines()
         assert norms[0] == "field,s,norm"
         assert len(norms) == 1 + 3 * 5
-        # parts reconstruct the stored initial data
         assert np.isfinite(qg).all() and np.isfinite(osc).all()
+        # parts reconstruct the stored initial data
+        grid = qglab.Grid(16)
+        U0 = qglab.make_well_prepared_data(grid, parse_config_text(TINY_CONFIG))
+        back = qglab.from_spectral(grid, qg + osc)
+        want = qglab.from_spectral(grid, U0)
+        assert np.abs(back - want).max() <= 1e-12
 
     def test_check_conditions(self, config_path, capsys):
         code = cli_main(["check-conditions", "--config", str(config_path)])

@@ -73,7 +73,7 @@ class TestSobolevNorm:
             assert abs(sobolev_norm(g, f, s) - expected) < 1e-13
 
     def test_zero(self, grid32):
-        assert sobolev_norm(grid32, np.zeros((32, 32, 32), complex), 1.0) == 0.0
+        assert sobolev_norm(grid32, np.zeros(grid32.shape, complex), 1.0) == 0.0
 
     def test_s0_is_l2(self, grid32, rng):
         f = random_scalar(grid32, rng)
@@ -156,11 +156,11 @@ class TestLowpass:
 
     def test_low_modes_unchanged_high_modes_zeroed(self, grid32):
         g = grid32
-        f = np.zeros((32, 32, 32), complex)
-        f[2, 0, 0] = 1.0  # |xi| = 2 <= (3/4) 2^2
+        f = np.zeros(g.shape, complex)
+        f[2, 0, 0] = f[-2, 0, 0] = 1.0  # |xi| = 2 <= (3/4) 2^2
         assert np.abs(lowpass(g, f, 2) - f).max() == 0.0
-        f = np.zeros((32, 32, 32), complex)
-        f[6, 0, 0] = 1.0  # |xi| = 6 >= (4/3) 2^2
+        f = np.zeros(g.shape, complex)
+        f[6, 0, 0] = f[-6, 0, 0] = 1.0  # |xi| = 6 >= (4/3) 2^2
         assert np.abs(lowpass(g, f, 2)).max() == 0.0
 
     def test_contraction(self, grid32, rng):
@@ -179,19 +179,21 @@ class TestLowpass:
 
 class TestTailBound:
     def test_band_limited_tail_is_zero(self, grid32):
-        f = np.zeros((32, 32, 32), complex)
-        f[1, 1, 0] = 1.0  # |xi| = sqrt(2) < (3/4) 2^2
+        f = np.zeros(grid32.shape, complex)
+        f[1, 1, 0] = f[-1, -1, 0] = 1.0  # |xi| = sqrt(2) < (3/4) 2^2
         tb = tail_bound_check(grid32, f, 2, 0.0, 0.5)
         assert tb.lhs == 0.0 and tb.passed
 
     def test_single_high_mode_hand_values(self, grid32):
-        # mode |xi| = 2^(m+1) with m=2: chi(2)=0 so the tail keeps it all
+        # mode pair |xi| = 2^(m+1) with m=2: chi(2)=0 so the tail keeps it
+        # all; the two conjugate partners of modulus 2 have L2 norm 2 sqrt(2)
         m, s, alpha = 2, 1.0, 0.5
-        f = np.zeros((32, 32, 32), complex)
-        f[8, 0, 0] = 2.0
+        f = np.zeros(grid32.shape, complex)
+        f[8, 0, 0] = f[-8, 0, 0] = 2.0
+        amp = 2.0 * math.sqrt(2.0)
         tb = tail_bound_check(grid32, f, m, s, alpha)
-        assert abs(tb.lhs - 8.0**s * 2.0) < 1e-12
-        assert abs(tb.rhs - (0.75 * 2.0**m) ** (-alpha) * 8.0 ** (s + alpha) * 2.0) < 1e-12
+        assert abs(tb.lhs - 8.0**s * amp) < 1e-12
+        assert abs(tb.rhs - (0.75 * 2.0**m) ** (-alpha) * 8.0 ** (s + alpha) * amp) < 1e-12
         assert tb.passed
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])

@@ -34,7 +34,7 @@ def qg_field(grid, rng):
 
 class TestPotentialVorticity:
     def test_zero(self, grid32):
-        U = np.zeros((4, 32, 32, 32), dtype=complex)
+        U = np.zeros((4,) + grid32.shape, dtype=complex)
         assert l2_norm(potential_vorticity(grid32, U)) == 0.0
 
     def test_gradient_velocity_has_no_vorticity(self, grid32):
@@ -43,7 +43,7 @@ class TestPotentialVorticity:
         x1, x2, _ = g.mesh()
         w = 2 * np.pi / g.box_length
         phi = to_spectral(g, np.sin(w * x1) * np.sin(w * x2))
-        U = np.zeros((4, 32, 32, 32), dtype=complex)
+        U = np.zeros((4,) + grid32.shape, dtype=complex)
         U[0] = derivative(g, phi, 1)
         U[1] = derivative(g, phi, 2)
         assert l2_norm(potential_vorticity(grid32, U)) < 1e-15
@@ -53,13 +53,13 @@ class TestPotentialVorticity:
         g = grid32
         x1, _, _ = g.mesh()
         w = 2 * np.pi / g.box_length
-        U = np.zeros((4, 32, 32, 32), dtype=complex)
+        U = np.zeros((4,) + grid32.shape, dtype=complex)
         U[1] = to_spectral(g, np.cos(w * x1))
         pv = from_spectral(g, potential_vorticity(g, U, froude=1.0))
         assert np.abs(pv + w * np.sin(w * x1)).max() < 1e-12
 
     def test_froude_scaling_on_theta(self, grid32, rng):
-        U = np.zeros((4, 32, 32, 32), dtype=complex)
+        U = np.zeros((4,) + grid32.shape, dtype=complex)
         U[3] = random_scalar(grid32, rng)
         pv_half = potential_vorticity(grid32, U, froude=0.5)
         pv_one = potential_vorticity(grid32, U, froude=1.0)
@@ -79,7 +79,7 @@ class TestBiotSavart:
             assert l2_norm(U[comp]) < 1e-14
 
     def test_zero(self, grid32):
-        U = biot_savart(grid32, np.zeros((32, 32, 32), dtype=complex))
+        U = biot_savart(grid32, np.zeros(grid32.shape, dtype=complex))
         assert l2_norm(U) == 0.0
 
     @pytest.mark.parametrize("froude", [1.0, 0.5])
@@ -98,7 +98,7 @@ class TestProjectors:
         g = grid32
         x1, _, _ = g.mesh()
         w = 2 * np.pi / g.box_length
-        U = np.zeros((4, 32, 32, 32), dtype=complex)
+        U = np.zeros((4,) + grid32.shape, dtype=complex)
         U[1] = to_spectral(g, np.cos(w * x1))
         assert l2_norm(project_qg(g, U) - U) / l2_norm(U) <= 1e-12
         assert l2_norm(project_osc(g, U)) <= 1e-12 * l2_norm(U)
@@ -108,7 +108,7 @@ class TestProjectors:
         g = grid32
         x1, _, _ = g.mesh()
         w = 2 * np.pi / g.box_length
-        U = np.zeros((4, 32, 32, 32), dtype=complex)
+        U = np.zeros((4,) + grid32.shape, dtype=complex)
         U[2] = to_spectral(g, np.cos(w * x1))
         assert l2_norm(project_qg(g, U)) <= 1e-13
         assert l2_norm(project_osc(g, U) - U) <= 1e-13 * l2_norm(U)
@@ -154,7 +154,7 @@ class TestProjectors:
 class TestCoriolisBuoyancy:
     def test_column_one(self, grid32, rng):
         gfield = random_scalar(grid32, rng)
-        U = np.zeros((4, 32, 32, 32), dtype=complex)
+        U = np.zeros((4,) + grid32.shape, dtype=complex)
         U[0] = gfield
         out = coriolis_buoyancy(U)
         assert np.abs(out[1] - gfield).max() == 0.0
@@ -162,7 +162,7 @@ class TestCoriolisBuoyancy:
 
     def test_column_three(self, grid32, rng):
         gfield = random_scalar(grid32, rng)
-        U = np.zeros((4, 32, 32, 32), dtype=complex)
+        U = np.zeros((4,) + grid32.shape, dtype=complex)
         U[2] = gfield
         out = coriolis_buoyancy(U, froude=1.0)
         assert np.abs(out[3] + gfield).max() == 0.0
@@ -190,14 +190,14 @@ class TestDiffusion:
         g = grid32
         _, _, x3 = g.mesh()
         w = 2 * np.pi / g.box_length
-        U = np.zeros((4, 32, 32, 32), dtype=complex)
+        U = np.zeros((4,) + grid32.shape, dtype=complex)
         U[3] = to_spectral(g, np.sin(w * x3))
         out = apply_diffusion(g, U, 1e-2, 5e-3)
         expected = -5e-3 * w**2 * np.sin(w * x3)
         assert np.abs(from_spectral(g, out[3]) - expected).max() < 1e-14
 
     def test_zero(self, grid32):
-        U = np.zeros((4, 32, 32, 32), dtype=complex)
+        U = np.zeros((4,) + grid32.shape, dtype=complex)
         assert l2_norm(apply_diffusion(grid32, U, 1e-2, 5e-3)) == 0.0
 
 
@@ -276,9 +276,9 @@ class TestOscVorticitySource:
         g = grid32
         x1, _, x3 = g.mesh()
         w = 2 * np.pi / g.box_length
-        U_osc = np.zeros((4, 32, 32, 32), dtype=complex)
+        U_osc = np.zeros((4,) + grid32.shape, dtype=complex)
         U_osc[2] = to_spectral(g, np.cos(w * x3))
-        U = np.zeros((4, 32, 32, 32), dtype=complex)
+        U = np.zeros((4,) + grid32.shape, dtype=complex)
         U[1] = to_spectral(g, np.cos(w * x1))
         U_qg = np.zeros_like(U)
         out = osc_vorticity_source(g, U_osc, U, U_qg)
@@ -291,9 +291,9 @@ class TestOscVorticitySource:
         g = grid32
         x1, _, _ = g.mesh()
         w = 2 * np.pi / g.box_length
-        U_osc = np.zeros((4, 32, 32, 32), dtype=complex)
+        U_osc = np.zeros((4,) + grid32.shape, dtype=complex)
         U_osc[2] = to_spectral(g, np.cos(w * x1))
-        U = np.zeros((4, 32, 32, 32), dtype=complex)
+        U = np.zeros((4,) + grid32.shape, dtype=complex)
         U[1] = to_spectral(g, np.cos(w * x1))
         out = osc_vorticity_source(g, U_osc, U, np.zeros_like(U))
         assert l2_norm(out) < 1e-15

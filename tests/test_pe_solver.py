@@ -21,6 +21,8 @@ from qglab import (
 from qglab.config import DiagConfig
 from qglab.pe_solver import _linear_symbols, clear_propagator_cache, default_dt
 
+from conftest import half_index
+
 INVISCID = 1e-30  # positive but exp(-nu k^2 dt) == 1.0 exactly in float64
 
 
@@ -60,10 +62,10 @@ def symbol_reference(kvec, params):
 
 class TestLinearSymbols:
     def test_matches_literal_assembly(self, grid8, params):
-        m = _linear_symbols(grid8, params).reshape(8, 8, 8, 4, 4)
+        m = _linear_symbols(grid8, params).reshape(grid8.shape + (4, 4))
         rng = np.random.default_rng(3)
         for _ in range(20):
-            idx = tuple(rng.integers(0, 8, size=3))
+            idx = half_index(8, rng.integers(0, 8, size=3))
             kvec = [
                 float(grid8.kd1[idx[0], 0, 0]),
                 float(grid8.kd2[0, idx[1], 0]),
@@ -80,7 +82,7 @@ class TestPropagator:
         prop = build_propagator(grid8, p, 0.1)
         rng = np.random.default_rng(5)
         for _ in range(10):
-            idx = tuple(rng.integers(0, 8, size=3))
+            idx = half_index(8, rng.integers(0, 8, size=3))
             if idx == (0, 0, 0):
                 continue
             k2 = (
@@ -123,8 +125,8 @@ class TestPropagator:
                 froude=froude,
             )
             prop = build_propagator(grid8, p, dt)
-            m_all = _linear_symbols(grid8, p).reshape(8, 8, 8, 4, 4)
-            idx = tuple(rng.integers(0, 8, size=3))
+            m_all = _linear_symbols(grid8, p).reshape(grid8.shape + (4, 4))
+            idx = half_index(8, rng.integers(0, 8, size=3))
             if idx == (0, 0, 0):
                 idx = (1, 2, 3)
             w0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -138,7 +140,7 @@ class TestPropagator:
         rng = np.random.default_rng(4)
         kd = (grid8.kd1, grid8.kd2, grid8.kd3)
         for _ in range(20):
-            idx = tuple(rng.integers(0, 8, size=3))
+            idx = half_index(8, rng.integers(0, 8, size=3))
             kvec = np.array(
                 [kd[0][idx[0], 0, 0], kd[1][0, idx[1], 0], kd[2][0, 0, idx[2]]]
             )
@@ -185,7 +187,7 @@ def small_diag(cadence=10, snapshot_every=0, snapshot_t_max=np.inf):
 class TestPEStep:
     def test_zero_state_stays_zero(self, grid8, params):
         prop = build_propagator(grid8, params, 0.01)
-        U = np.zeros((4, 8, 8, 8), dtype=complex)
+        U = np.zeros((4,) + grid8.shape, dtype=complex)
         assert l2_norm(pe_step(U, prop)) == 0.0
 
     def test_linear_l2_conservation_inviscid(self, grid8):
@@ -202,14 +204,14 @@ class TestPEStep:
         # nonlinearity off: the step is exactly the cached matrix power
         dt = 0.01
         prop = build_propagator(grid8, params, dt)
-        m = _linear_symbols(grid8, params).reshape(8, 8, 8, 4, 4)
+        m = _linear_symbols(grid8, params).reshape(grid8.shape + (4, 4))
         idx = (2, 1, 3)
         w0 = np.array([0.3 - 0.1j, 0.2j, -0.5, 0.9 + 0.4j])
         kvec = np.array(
             [grid8.kd1[idx[0], 0, 0], grid8.kd2[0, idx[1], 0], grid8.kd3[0, 0, idx[2]]]
         )
         w0[:3] -= kvec * (kvec @ w0[:3]) / (kvec @ kvec)
-        U = np.zeros((4, 8, 8, 8), dtype=complex)
+        U = np.zeros((4,) + grid8.shape, dtype=complex)
         U[:, idx[0], idx[1], idx[2]] = w0
         w = w0.copy()
         for _ in range(100):
@@ -221,7 +223,7 @@ class TestPEStep:
 
 class TestPERun:
     def test_zero_initial_data(self, grid8, params):
-        U0 = np.zeros((4, 8, 8, 8), dtype=complex)
+        U0 = np.zeros((4,) + grid8.shape, dtype=complex)
         rec = pe_run(grid8, U0, params, 0.1, 0.01, small_diag())
         assert l2_norm(rec.final_state) == 0.0
         assert all(v == 0.0 for v in rec.series.channels["hs_U_0"])
@@ -248,7 +250,7 @@ class TestPERun:
         w = 2 * np.pi / g.box_length
         from qglab import potential_vorticity, qg_run, to_spectral
 
-        U0 = np.zeros((4, 16, 16, 16), dtype=complex)
+        U0 = np.zeros((4,) + grid16.shape, dtype=complex)
         U0[1] = to_spectral(g, 0.3 * np.cos(w * x1))
         p = Params(epsilon=0.1, nu=8e-3, nu_prime=8e-3)
         rec = pe_run(g, U0, p, 0.5, 0.005, small_diag())
@@ -349,7 +351,7 @@ class TestVorticityResidualOnRuns:
         assert vals.max() <= 1e-3
 
     def test_zero_run_residual_guarded(self, grid8, params):
-        U0 = np.zeros((4, 8, 8, 8), dtype=complex)
+        U0 = np.zeros((4,) + grid8.shape, dtype=complex)
         diag = small_diag(cadence=10, snapshot_every=10)
         rec = pe_run(grid8, U0, params, 0.05, 1e-3, diag)
         vals = vorticity_residual(rec, params).channel("vorticity_residual")

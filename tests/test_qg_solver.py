@@ -24,7 +24,7 @@ def diag(cadence=10):
 
 class TestQGRhs:
     def test_zero(self, grid16, params):
-        om = np.zeros((16, 16, 16), dtype=complex)
+        om = np.zeros(grid16.shape, dtype=complex)
         assert l2_norm(qg_rhs(grid16, om, params)) == 0.0
 
     def test_single_mode_self_advection_vanishes(self, grid16, params):
@@ -67,13 +67,13 @@ class TestQGStep:
         assert l2_norm(om - exact) <= 1e-10 * l2_norm(exact)
 
     def test_zero(self, grid16, params):
-        om = np.zeros((16, 16, 16), dtype=complex)
+        om = np.zeros(grid16.shape, dtype=complex)
         assert l2_norm(qg_step(grid16, om, 0.01, params)) == 0.0
 
 
 class TestQGRun:
     def test_zero_run(self, grid16, params):
-        om0 = np.zeros((16, 16, 16), dtype=complex)
+        om0 = np.zeros(grid16.shape, dtype=complex)
         rec = qg_run(grid16, om0, params, 0.1, 0.01, diag())
         assert l2_norm(rec.final_omega) == 0.0
         assert all(v == 0.0 for v in rec.series.channels["hs_omega_0"])

@@ -9,6 +9,7 @@ from qglab import (
     derivative,
     enforce_mean_zero,
     from_spectral,
+    hs_inner,
     inverse_anisotropic_laplacian,
     l2_inner,
     l2_norm,
@@ -16,6 +17,7 @@ from qglab import (
     max_divergence,
     random_scalar,
     random_state,
+    sobolev_norm,
     to_spectral,
 )
 
@@ -85,17 +87,39 @@ class TestTransforms:
     def test_matches_full_complex_transform(self, grid16, rng):
         phys = rng.standard_normal((16, 16, 16))
         fast = to_spectral(grid16, phys)
-        ref = np.fft.fftn(phys) / 16**3
+        ref = (np.fft.fftn(phys) / 16**3)[..., :9]
         assert np.abs(fast - ref).max() < 1e-15
 
     def test_shape_mismatch(self, grid32):
         with pytest.raises(ValueError):
             to_spectral(grid32, np.zeros((16, 16, 16)))
 
-    def test_parseval(self, grid32, rng):
-        phys = rng.standard_normal((32, 32, 32))
-        f = to_spectral(grid32, phys)
-        assert abs(l2_norm(f) - np.sqrt(np.mean(phys**2))) < 1e-12
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_parseval(self, n, rng):
+        g = Grid(n)
+        phys = rng.standard_normal((n, n, n))
+        # energy only on the k3 = 0 and Nyquist planes, which count once
+        planes = rng.standard_normal((2, n, n, 1))
+        edge = planes[0] + planes[1] * (-1.0) ** np.arange(n)
+        for f in (phys, edge):
+            assert abs(l2_norm(to_spectral(g, f)) - np.sqrt(np.mean(f**2))) < 1e-12
+
+    @pytest.mark.parametrize("s", [-1.0, 0.5, 1.0])
+    def test_sobolev_matches_full_cube(self, grid16, rng, s):
+        n = 16
+        a = rng.standard_normal((n, n, n))
+        b = a + rng.standard_normal((n, n, n))
+        full_a, full_b = (np.fft.fftn(x) / n**3 for x in (a, b))
+        k = np.fft.fftfreq(n, d=1.0 / n) * (2 * np.pi / grid16.box_length)
+        k2 = k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2
+        w = np.zeros_like(k2)
+        w[k2 > 0] = k2[k2 > 0] ** s
+        want_norm = np.sqrt(np.sum(w * np.abs(full_a) ** 2))
+        want_inner = np.sum(w * full_a * np.conj(full_b)).real
+        fa, fb = to_spectral(grid16, a), to_spectral(grid16, b)
+        assert abs(sobolev_norm(grid16, fa, s) - want_norm) <= 1e-12 * want_norm
+        got_inner = hs_inner(grid16, fa, fb, s)
+        assert abs(got_inner - want_inner) <= 1e-12 * abs(want_inner)
 
 
 class TestDerivative:
@@ -158,15 +182,15 @@ class TestInverseAnisotropicLaplacian:
 
 class TestDealias:
     def test_band_limited_unchanged(self, grid32, rng):
-        f = np.zeros((32, 32, 32), dtype=complex)
+        f = np.zeros(grid32.shape, dtype=complex)
         f[:9, :9, :9] = rng.standard_normal((9, 9, 9))  # max frequency n/4
         assert np.abs(dealias(grid32, f) - f).max() == 0.0
 
     def test_high_frequency_removed(self):
         for n in (8, 32):
             g = Grid(n)
-            f = np.zeros((n, n, n), dtype=complex)
-            f[n // 2 - 1, 0, 0] = 1.0
+            f = np.zeros(g.shape, dtype=complex)
+            f[n // 2 - 1, 0, 0] = f[1 - n // 2, 0, 0] = 1.0
             assert np.abs(dealias(g, f)).max() == 0.0
 
     def test_idempotent(self, grid32, rng):
@@ -191,7 +215,7 @@ class TestLeray:
         g = grid32
         x1, _, _ = g.mesh()
         w = 2 * np.pi / g.box_length
-        v = np.zeros((3, 32, 32, 32), dtype=complex)
+        v = np.zeros((3,) + g.shape, dtype=complex)
         v[0] = to_spectral(g, np.sin(w * x1))
         assert l2_norm(leray_project(g, v)) <= 1e-13
 
@@ -220,9 +244,9 @@ class TestAdvect:
         g = grid32
         x1, _, x3 = g.mesh()
         w = 2 * np.pi / g.box_length
-        v = np.zeros((3, 32, 32, 32), dtype=complex)
+        v = np.zeros((3,) + g.shape, dtype=complex)
         v[2] = to_spectral(g, np.cos(w * x1))
-        U = np.zeros((4, 32, 32, 32), dtype=complex)
+        U = np.zeros((4,) + g.shape, dtype=complex)
         U[3] = to_spectral(g, np.sin(w * x3))
         out = advect(g, v, U)
         expected = w * np.cos(w * x1) * np.cos(w * x3)
