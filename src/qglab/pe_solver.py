@@ -11,17 +11,21 @@ mode M is a real 4x4 matrix; its exponential is cached for the step size in
 use, so the arbitrarily stiff (1/eps) oscillation and the diffusion are
 integrated exactly and only advection constrains the step.
 
-Stepping is the integrating-factor (Lawson) form of classical RK4: with
-E = exp(dt M), Eh = exp(dt/2 M) and N(U) = -P(v . grad U),
+The nonlinear term is taken in rotational form, N(U) = -P(omega x v,
+v . grad theta) with omega = curl v: on the 2/3 band it equals -P(v . grad U)
+(they differ by grad |v|^2 / 2, which P removes) and transforms 13 fields, not 19.
+
+Stepping is the integrating-factor (Lawson) form of classical RK4 with the
+half-step factor Eh = exp(dt/2 M) alone, exp(dt M) = Eh Eh:
 
     k1 = N(U)
-    k2 = N(Eh U + (dt/2) Eh k1)
+    k2 = N(Eh (U + (dt/2) k1))
     k3 = N(Eh U + (dt/2) k2)
-    k4 = N(E U + dt Eh k3)
-    U_next = E U + (dt/6) (E k1 + 2 Eh (k2 + k3) + k4).
+    k4 = N(Eh (Eh U + dt k3))
+    U_next = Eh (Eh (U + (dt/6) k1) + (dt/3) (k2 + k3)) + (dt/6) k4.
 
 Eh comes from batched scaling-and-squaring over all modes, which stays
-accurate where M is non-normal or defective, and E = Eh Eh.
+accurate where M is non-normal or defective.
 """
 
 from __future__ import annotations
@@ -36,12 +40,14 @@ import scipy.linalg
 from .diagnostics import NormSeries, hs_channel, sobolev_norm
 from .operators import project_osc
 from .spectral import (
-    advect,
+    _leray_in_place,
+    dealias,
     enforce_mean_zero,
     from_spectral,
     l2_norm,
     leray_project,
     max_divergence,
+    spectral_product,
 )
 
 __all__ = [
@@ -90,10 +96,8 @@ def _linear_symbols(grid, params):
         ]
     )
     m = -(1.0 / params.epsilon) * (proj @ a4)
-    diag = np.zeros((kd.shape[0], 4))
-    diag[:, :3] = -params.nu * k2[:, None]
-    diag[:, 3] = -params.nu_prime * k2
-    m[:, np.arange(4), np.arange(4)] += diag
+    m[:, np.arange(3), np.arange(3)] -= params.nu * k2[:, None]
+    m[:, 3, 3] -= params.nu_prime * k2
     return m
 
 
@@ -101,21 +105,20 @@ def _linear_symbols(grid, params):
 class LinearPropagator:
     """Cached per-mode exponentials of the stiff linear symbol.
 
-    ``full`` and ``half`` are (4, 4, n, n, n//2+1) real views into one
-    stacked array; ``full[a, b]`` is the (a, b) entry of exp(dt * M) over the
-    half-spectrum. ``matrix_at(i, j, k)`` recovers the conventional 4x4
-    matrix of a single mode, 0 <= k <= n/2.
+    ``half`` is a (4, 4, n, n, n//2+1) real array; ``half[a, b]`` is the
+    (a, b) entry of exp(dt/2 * M) over the half-spectrum, and exp(dt * M) is
+    applied as two half steps. ``matrix_at(i, j, k)`` recovers the
+    conventional 4x4 matrix of a single mode, 0 <= k <= n/2.
     """
 
     grid: object
     params: object
     dt: float
-    full: np.ndarray = field(repr=False)
     half: np.ndarray = field(repr=False)
 
-    @staticmethod
-    def _apply(mats, U):
+    def apply_half(self, U):
         # unrolled 4x4 multiply-accumulate beats einsum/matmul here
+        mats = self.half
         out = np.empty_like(U)
         for a in range(4):
             np.multiply(mats[a, 0], U[0], out=out[a])
@@ -125,14 +128,11 @@ class LinearPropagator:
         return out
 
     def apply_full(self, U):
-        return self._apply(self.full, U)
-
-    def apply_half(self, U):
-        return self._apply(self.half, U)
+        return self.apply_half(self.apply_half(U))
 
     def matrix_at(self, i, j, k, *, half=False):
-        mats = self.half if half else self.full
-        return np.ascontiguousarray(mats[:, :, i, j, k])
+        m = np.ascontiguousarray(self.half[:, :, i, j, k])
+        return m if half else m @ m
 
 
 _PROP_CACHE = OrderedDict()
@@ -154,11 +154,10 @@ def build_propagator(grid, params, dt):
         return cached
 
     half = scipy.linalg.expm((0.5 * float(dt)) * _linear_symbols(grid, params))
-    pair = np.stack([half @ half, half]).reshape((2,) + grid.shape + (4, 4))
-    pair[:, 0, 0, 0] = 0.0
-    pair = np.ascontiguousarray(np.moveaxis(pair, (4, 5), (1, 2)))
-    prop = LinearPropagator(grid=grid, params=params, dt=float(dt),
-                            full=pair[0], half=pair[1])
+    half = half.reshape(grid.shape + (4, 4))
+    half[0, 0, 0] = 0.0
+    half = np.ascontiguousarray(np.moveaxis(half, (3, 4), (0, 1)))
+    prop = LinearPropagator(grid=grid, params=params, dt=float(dt), half=half)
     _PROP_CACHE[key] = prop
     if len(_PROP_CACHE) > _PROP_CACHE_SIZE:
         _PROP_CACHE.popitem(last=False)
@@ -166,27 +165,43 @@ def build_propagator(grid, params, dt):
 
 
 def _nonlinear(grid, U):
-    """N(U) = -P(v . grad U), dealiased and mean-zero."""
-    return -leray_project(grid, advect(grid, U[:3], U))
+    """N(U) = -P(omega x v, v . grad theta) for U on the 2/3 band, dealiased
+    and mean-zero; the products v x omega and v . (-grad theta) carry the sign."""
+    ikd = [1j * k for k in (grid.kd1, grid.kd2, grid.kd3)]
+    cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    batch = np.empty((9,) + grid.shape, dtype=np.complex128)  # v, omega, -grad theta
+    batch[:3] = U[:3]
+    for i, j, k in cyclic:
+        np.multiply(ikd[j], U[k], out=batch[3 + i])
+        batch[3 + i] -= ikd[k] * U[j]
+        np.multiply(-ikd[i], U[3], out=batch[6 + i])
+    v, omega, grad = from_spectral(grid, batch).reshape((3, 3) + (grid.n,) * 3)
+    prod = np.empty((4,) + v.shape[1:])
+    for i, j, k in cyclic:
+        np.multiply(v[j], omega[k], out=prod[i])
+        prod[i] -= v[k] * omega[j]
+    np.einsum("jxyz,jxyz->xyz", v, grad, out=prod[3])
+    return _leray_in_place(grid, spectral_product(grid, prod))
 
 
-def _lawson_rk4(U, h, rhs, expo_full, expo_half):
+def _lawson_rk4(U, h, rhs, expo_half):
     """One integrating-factor RK4 step of size h for dU/dt = M U + rhs(U);
-    ``expo_full`` and ``expo_half`` apply exp(h M) and exp(h/2 M)."""
-    EU = expo_full(U)
+    ``expo_half`` applies exp(h/2 M), and exp(h M) is two such applies."""
     k1 = rhs(U)
+    k2 = rhs(expo_half(U + (0.5 * h) * k1))
     EhU = expo_half(U)
-    k2 = rhs(EhU + (0.5 * h) * expo_half(k1))
     k3 = rhs(EhU + (0.5 * h) * k2)
-    k4 = rhs(EU + h * expo_half(k3))
-    return EU + (h / 6.0) * (expo_full(k1) + 2.0 * expo_half(k2 + k3) + k4)
+    k4 = rhs(expo_half(EhU + h * k3))
+    k2 += k3
+    return expo_half(expo_half(U + (h / 6.0) * k1) + (h / 3.0) * k2) + (h / 6.0) * k4
 
 
 def pe_step(U, prop, *, nonlinear=True):
-    """One integrating-factor RK4 step of size prop.dt."""
+    """One integrating-factor RK4 step of size prop.dt. U must lie on the
+    2/3 band, as every state :func:`pe_run` steps does (see the module doc)."""
     if nonlinear:
         out = _lawson_rk4(U, prop.dt, partial(_nonlinear, prop.grid),
-                          prop.apply_full, prop.apply_half)
+                          prop.apply_half)
     else:
         out = prop.apply_full(U)
     if not np.isfinite(out.view(np.float64)).all():
@@ -226,10 +241,11 @@ def pe_run(grid, U0, params, t_end, dt, diag, *,
            nonlinear=True, extra_diag=None):
     """Integrate to t_end recording diagnostics.
 
-    ``diag`` supplies the H^s lists and cadences. The initial state is
-    Leray-projected once; the steps keep it divergence-free, since the
-    propagator maps solenoidal fields to solenoidal fields and N(U) is
-    projected, and the ``max_div`` channel records how well. Mean-zero is
+    ``diag`` supplies the H^s lists and cadences. The initial state is cut
+    to the 2/3 band and Leray-projected once; the steps keep it there and
+    divergence-free, since the propagator maps solenoidal fields to
+    solenoidal fields and N(U) is a projected, dealiased product, and the
+    ``max_div`` channel records how well. Mean-zero is
     re-enforced after every step; the L2 norm is monitored for (flagged,
     non-fatal) increase beyond roundoff, and the run aborts with
     :class:`BlowUpError` on non-finite values or an H^1 norm exceeding 1e6
@@ -244,7 +260,7 @@ def pe_run(grid, U0, params, t_end, dt, diag, *,
         raise ValueError("snapshot_every must be a multiple of the diag cadence")
 
     prop = build_propagator(grid, params, dt)
-    U = enforce_mean_zero(leray_project(grid, U0.astype(np.complex128)))
+    U = enforce_mean_zero(leray_project(grid, dealias(grid, U0.astype(complex))))
 
     series = NormSeries()
     snapshot_times, snapshots = [], []

@@ -172,7 +172,7 @@ def to_spectral(grid, samples):
         raise ValueError(
             f"sample shape {samples.shape} does not match grid n={grid.n}"
         )
-    return _fft.rfftn(samples, axes=_AXES) / grid.n**3
+    return _fft.rfftn(samples, axes=_AXES, norm="forward")
 
 
 def from_spectral(grid, coeffs):
@@ -180,8 +180,7 @@ def from_spectral(grid, coeffs):
     samples (..., n, n, n); any leading axes form one batched transform."""
     coeffs = np.asarray(coeffs)
     grid.check_shape(coeffs)
-    n = grid.n
-    return _fft.irfftn(coeffs, s=(n, n, n), axes=_AXES) * n**3
+    return _fft.irfftn(coeffs, s=(grid.n,) * 3, axes=_AXES, norm="forward")
 
 
 def enforce_mean_zero(f):
@@ -222,20 +221,22 @@ def leray_project(grid, v):
     if v.shape[0] not in (3, 4):
         raise ValueError(f"expected 3 or 4 components, got shape {v.shape}")
     grid.check_shape(v)
+    return _leray_in_place(grid, v.copy())
+
+
+def _leray_in_place(grid, v):
+    """Leray projection of an owned 3- or 4-component array, in place."""
     kd = (grid.kd1, grid.kd2, grid.kd3)
     div = kd[0] * v[0] + kd[1] * v[1] + kd[2] * v[2]
-    factor = np.divide(
-        div, grid.kd_mag2, out=np.zeros_like(div), where=grid.kd_mag2 > 0
-    )
-    out = v.copy()
+    np.divide(div, grid.kd_mag2, out=div, where=grid.kd_mag2 > 0)
     for i in range(3):
-        out[i] -= kd[i] * factor
-    return out
+        v[i] -= kd[i] * div
+    return v
 
 
 def spectral_product(grid, prod):
     """Dealiased mean-zero half-spectrum of a physical-space product."""
-    out = _fft.rfftn(prod, axes=_AXES) / grid.n**3
+    out = _fft.rfftn(prod, axes=_AXES, norm="forward")
     out *= grid.dealias_mask
     return enforce_mean_zero(out)
 

@@ -1,14 +1,19 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.integrate import solve_ivp
 
 from qglab import (
     BlowUpError,
+    Grid,
     Params,
+    advect,
     build_propagator,
+    dealias,
     energy_check,
     l2_norm,
+    leray_project,
     max_divergence,
     pe_run,
     pe_step,
@@ -16,10 +21,17 @@ from qglab import (
     project_qg,
     random_state,
     sobolev_norm,
+    to_spectral,
     vorticity_residual,
 )
 from qglab.config import DiagConfig
-from qglab.pe_solver import _linear_symbols, clear_propagator_cache, default_dt
+from qglab.pe_solver import (
+    LinearPropagator,
+    _linear_symbols,
+    _nonlinear,
+    clear_propagator_cache,
+    default_dt,
+)
 
 from conftest import half_index
 
@@ -184,6 +196,52 @@ def small_diag(cadence=10, snapshot_every=0, snapshot_t_max=np.inf):
     )
 
 
+class TestNonlinear:
+    @pytest.mark.parametrize("froude", [1.0, 0.5])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_rotational_form_matches_convective_form(self, n, froude):
+        # balanced part plus an oscillating admixture, both at Froude number F
+        grid = Grid(n)
+        rng = np.random.default_rng([n, int(10 * froude)])
+        for _ in range(3):
+            U = random_state(grid, rng)
+            U = project_qg(grid, U, froude) + 0.3 * project_osc(grid, U, froude)
+            got = _nonlinear(grid, U)
+            want = -leray_project(grid, advect(grid, U[:3], U))
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            assert got[:, 0, 0, 0].tolist() == [0.0] * 4
+            assert max_divergence(grid, got) <= 1e-12
+            assert not np.any(got[:, ~grid.dealias_mask])
+
+    def test_transform_and_apply_counts(self, grid8, params, monkeypatch):
+        # 9 fields in and 4 out per evaluation, 4 evaluations per step;
+        # the half-step factor is applied 5 times, the full step is 2 halves
+        fields, applies = [], []
+
+        def counting(fn):
+            def wrapper(x, *args, **kwargs):
+                fields.append(int(np.prod(np.shape(x)[:-3])))
+                return fn(x, *args, **kwargs)
+            return wrapper
+
+        def apply_half(self, U):
+            applies.append(1)
+            return original(self, U)
+
+        prop = build_propagator(grid8, params, 0.01)
+        U = random_state(grid8, np.random.default_rng(2))
+        original = LinearPropagator.apply_half
+        monkeypatch.setattr(LinearPropagator, "apply_half", apply_half)
+        for name in ("irfftn", "rfftn"):
+            monkeypatch.setattr(scipy.fft, name, counting(getattr(scipy.fft, name)))
+        pe_step(U, prop)
+        assert (sum(fields), len(applies)) == (4 * (9 + 4), 5)
+        fields.clear()
+        applies.clear()
+        pe_step(U, prop, nonlinear=False)
+        assert (sum(fields), len(applies)) == (0, 2)
+
+
 class TestPEStep:
     def test_zero_state_stays_zero(self, grid8, params):
         prop = build_propagator(grid8, params, 0.01)
@@ -285,6 +343,16 @@ class TestPERun:
         e2 = l2_norm(finals[0.01] - finals[0.005])
         order = np.log2(e1 / e2)
         assert abs(order - 4.0) <= 0.5
+
+    def test_initial_state_cut_to_the_band(self, grid16, params):
+        # a full-band solenoidal state runs exactly as its 2/3-band part
+        rng = np.random.default_rng(9)
+        U0 = leray_project(grid16, to_spectral(grid16, rng.standard_normal((4,) + (16,) * 3)))
+        U0[:, 0, 0, 0] = 0.0
+        assert np.any(U0[:, ~grid16.dealias_mask])
+        finals = [pe_run(grid16, U, params, 0.05, 0.01, small_diag()).final_state
+                  for U in (U0, dealias(grid16, U0))]
+        assert l2_norm(finals[0] - finals[1]) <= 1e-14 * l2_norm(finals[1])
 
     def test_blow_up_detection(self, grid8):
         # gigantic data + inviscid: advection drives a clean overflow
