@@ -58,11 +58,11 @@ def _build_parser():
     for name, desc in needs_config.items():
         p = sub.add_parser(name, help=desc)
         p.add_argument("--config", required=True, help="path to key=value config")
-        p.add_argument("--out", default="./out", help="output directory")
+        if name != "check-conditions":
+            p.add_argument("--out", default="./out", help="output directory")
         p.add_argument("--override", action="append", default=[],
                        metavar="KEY=VALUE", help="config override (repeatable)")
-    p = sub.add_parser("check-invariants", help="structural property suite")
-    p.add_argument("--out", default="./out", help="output directory (unused)")
+    sub.add_parser("check-invariants", help="structural property suite")
     return parser
 
 

@@ -38,7 +38,8 @@ import numpy as np
 import scipy.linalg
 
 from .diagnostics import NormSeries, hs_channel, sobolev_norm
-from .operators import project_osc
+from .config import ConfigError
+from .operators import decompose
 from .spectral import (
     _leray_in_place,
     dealias,
@@ -130,9 +131,9 @@ class LinearPropagator:
     def apply_full(self, U):
         return self.apply_half(self.apply_half(U))
 
-    def matrix_at(self, i, j, k, *, half=False):
+    def matrix_at(self, i, j, k):
         m = np.ascontiguousarray(self.half[:, :, i, j, k])
-        return m if half else m @ m
+        return m @ m
 
 
 _PROP_CACHE = OrderedDict()
@@ -197,9 +198,11 @@ def _lawson_rk4(U, h, rhs, expo_half):
 
 
 def pe_step(U, prop, *, nonlinear=True):
-    """One integrating-factor RK4 step of size prop.dt. U must lie on the
-    2/3 band, as every state :func:`pe_run` steps does (see the module doc)."""
+    """One integrating-factor RK4 step of size prop.dt. A nonlinear step needs
+    U on the 2/3 band (see the module doc) and raises ValueError otherwise."""
     if nonlinear:
+        if np.any(U[:, ~prop.grid.dealias_mask]):
+            raise ValueError("pe_step: state has modes outside the 2/3 band")
         out = _lawson_rk4(U, prop.dt, partial(_nonlinear, prop.grid),
                           prop.apply_half)
     else:
@@ -237,11 +240,20 @@ def default_dt(grid, U0, t_end):
     return float(min(cfl, t_end / 1000.0))
 
 
+def _step_count(t_end, dt):
+    """Number of steps of size dt in t_end; ConfigError unless it is whole."""
+    n_steps = int(round(t_end / dt))
+    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-8 * max(t_end, dt):
+        raise ConfigError(f"dt={dt} does not divide t_end={t_end}")
+    return n_steps
+
+
 def pe_run(grid, U0, params, t_end, dt, diag, *,
            nonlinear=True, extra_diag=None):
     """Integrate to t_end recording diagnostics.
 
-    ``diag`` supplies the H^s lists and cadences. The initial state is cut
+    ``diag`` supplies the H^s lists and cadences; ``extra_diag(step, t, dec)``
+    adds channels from each record's :class:`Decomposition`. U0 is cut
     to the 2/3 band and Leray-projected once; the steps keep it there and
     divergence-free, since the propagator maps solenoidal fields to
     solenoidal fields and N(U) is a projected, dealiased product, and the
@@ -253,9 +265,7 @@ def pe_run(grid, U0, params, t_end, dt, diag, *,
     """
     U0 = np.asarray(U0)
     grid.check_shape(U0, 4)
-    n_steps = int(round(t_end / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-8 * max(t_end, dt):
-        raise ValueError(f"t_end={t_end} is not an integer multiple of dt={dt}")
+    n_steps = _step_count(t_end, dt)
     if diag.snapshot_every and diag.snapshot_every % diag.cadence != 0:
         raise ValueError("snapshot_every must be a multiple of the diag cadence")
 
@@ -272,13 +282,13 @@ def pe_run(grid, U0, params, t_end, dt, diag, *,
 
     def record(step, t, state):
         values = {}
-        osc = project_osc(grid, state, params.froude)
+        dec = decompose(grid, state, params.froude)
         for s in diag.s_list:
             values[hs_channel("U", s)] = sobolev_norm(grid, state, s)
-            values[hs_channel("Uosc", s)] = sobolev_norm(grid, osc, s)
+            values[hs_channel("Uosc", s)] = sobolev_norm(grid, dec.osc, s)
         values["max_div"] = max_divergence(grid, state)
         if extra_diag is not None:
-            values.update(extra_diag(step, t, state))
+            values.update(extra_diag(step, t, dec))
         series.append(t, values)
         if diag.snapshot_every and step % diag.snapshot_every == 0:
             if t <= diag.snapshot_t_max * (1 + 1e-12):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .diagnostics import NormSeries, hs_channel, sobolev_norm
 from .operators import biot_savart, qg_diffusion_symbol
-from .pe_solver import BlowUpError, _lawson_rk4
+from .pe_solver import BlowUpError, _lawson_rk4, _step_count
 from .spectral import (
     derivative,
     enforce_mean_zero,
@@ -86,9 +86,7 @@ def qg_run(grid, omega0, params, t_end, dt, diag):
     """
     omega0 = np.asarray(omega0)
     grid.check_shape(omega0)
-    n_steps = int(round(t_end / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-8 * max(t_end, dt):
-        raise ValueError(f"t_end={t_end} is not an integer multiple of dt={dt}")
+    n_steps = _step_count(t_end, dt)
 
     sym = qg_diffusion_symbol(grid, params.nu, params.nu_prime, params.froude)
     rhs = partial(qg_rhs, grid, params=params)

@@ -317,9 +317,9 @@ def random_scalar(grid, rng, peak_k=2.0, extra_smoothness=0.0):
     return enforce_mean_zero(dealias(grid, f))
 
 
-def random_state(grid, rng, peak_k=2.0, divergence_free=True):
+def random_state(grid, rng, divergence_free=True):
     """Random smooth mean-zero 4-component state, optionally solenoidal."""
-    U = np.stack([random_scalar(grid, rng, peak_k=peak_k) for _ in range(4)])
+    U = np.stack([random_scalar(grid, rng) for _ in range(4)])
     if divergence_free:
         U = leray_project(grid, U)
     return U

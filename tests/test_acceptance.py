@@ -15,34 +15,24 @@ from scipy.integrate import solve_ivp
 from qglab import (
     Grid,
     Params,
-    advect,
-    biot_savart,
     build_propagator,
-    coriolis_buoyancy,
-    decompose,
     energy_check,
-    hs_inner,
-    l2_inner,
     l2_norm,
     lowpass,
     lowpass_profile,
     make_well_prepared_data,
-    max_divergence,
     pe_run,
     potential_vorticity,
-    project_qg,
     qg_run,
-    random_scalar,
     random_state,
     smallness_condition,
     sobolev_norm,
     tail_bound_check,
     vorticity_residual,
 )
+from qglab.checks import structure_defects
 from qglab.config import default_config
 from qglab.pe_solver import _linear_symbols
-from qglab.operators import apply_diffusion, apply_qg_diffusion
-from qglab.spectral import advect_scalar
 from qglab.sweep import params_from_config, run_convergence_sweep
 
 from conftest import half_index
@@ -83,77 +73,20 @@ def residual_records(grid):
 
 def test_criterion_1_structure_suite(grid):
     t0 = time.time()
-    rng = np.random.default_rng(101)
     tol_tight = 1e-10   # projections, orthogonality, skewness, solenoidality
     tol_prod = 1e-8     # pseudo-spectral product identities
-    worst = {"proj": 0.0, "orth": 0.0, "skew": 0.0, "div": 0.0,
-             "pv_commute": 0.0, "h1_cancel": 0.0, "diffusion": 0.0}
-
-    for _ in range(200):
-        U = random_state(grid, rng)
-        dec = decompose(grid, U)
-        nU = l2_norm(U)
-        worst["proj"] = max(
-            worst["proj"],
-            l2_norm(project_qg(grid, dec.qg) - dec.qg) / max(l2_norm(dec.qg), 1e-300),
-            l2_norm(dec.qg + dec.osc - U) / nU,
-            l2_norm(potential_vorticity(grid, dec.osc)) / max(l2_norm(dec.omega), 1e-300),
-        )
-        for s in (0.0, 0.5, 1.0):
-            na, nb = sobolev_norm(grid, dec.osc, s), sobolev_norm(grid, dec.qg, s)
-            worst["orth"] = max(
-                worst["orth"], abs(hs_inner(grid, dec.osc, dec.qg, s)) / (na * nb)
-            )
-            au = coriolis_buoyancy(U)
-            worst["orth"] = max(
-                worst["orth"],
-                abs(hs_inner(grid, au, dec.osc, s))
-                / (sobolev_norm(grid, au, s) * na),
-            )
-        au = coriolis_buoyancy(U)
-        worst["skew"] = max(
-            worst["skew"],
-            abs(l2_inner(au, U)) / (l2_norm(au) * nU),
-            abs(hs_inner(grid, au, U, 1.0))
-            / (sobolev_norm(grid, au, 1.0) * sobolev_norm(grid, U, 1.0)),
-        )
-        worst["div"] = max(worst["div"], max_divergence(grid, dec.qg))
-
-        # band-limited balanced field for the product identities
-        W = biot_savart(grid, random_scalar(grid, rng))
-        lhs = advect_scalar(grid, W[:3], potential_vorticity(grid, W))
-        rhs = potential_vorticity(grid, advect(grid, W[:3], W))
-        worst["pv_commute"] = max(
-            worst["pv_commute"], l2_norm(lhs - rhs) / max(l2_norm(lhs), 1e-300)
-        )
-        adv = advect(grid, W[:3], W)
-        worst["h1_cancel"] = max(
-            worst["h1_cancel"],
-            abs(hs_inner(grid, adv, W, 1.0))
-            / (sobolev_norm(grid, adv, 1.0) * sobolev_norm(grid, W, 1.0)),
-        )
-        gam = np.stack(
-            [apply_qg_diffusion(grid, W[i], 1e-2, 5e-3) for i in range(4)]
-        )
-        qld = project_qg(grid, apply_diffusion(grid, W, 1e-2, 5e-3))
-        worst["diffusion"] = max(
-            worst["diffusion"], l2_norm(gam - qld) / l2_norm(gam)
-        )
-
+    worst = structure_defects(grid, np.random.default_rng(101), 200)
     elapsed = time.time() - t0
+    tight = ("projections", "orthogonality", "skewness", "solenoidal",
+             "diffusion identity")
+    products = ("transport/vorticity", "H1 cancellation")
     ok = (
-        max(worst["proj"], worst["orth"], worst["skew"], worst["div"],
-            worst["diffusion"]) <= tol_tight
-        and max(worst["pv_commute"], worst["h1_cancel"]) <= tol_prod
+        max(worst[k] for k in tight) <= tol_tight
+        and max(worst[k] for k in products) <= tol_prod
         and elapsed < 60.0
     )
-    detail = (
-        f"200 fields in {elapsed:.1f}s; projections {worst['proj']:.1e}, "
-        f"orthogonality {worst['orth']:.1e}, skewness {worst['skew']:.1e}, "
-        f"solenoidal {worst['div']:.1e}, transport/vorticity {worst['pv_commute']:.1e}, "
-        f"H1 cancellation {worst['h1_cancel']:.1e}, diffusion identity "
-        f"{worst['diffusion']:.1e}"
-    )
+    detail = f"200 fields in {elapsed:.1f}s; " + ", ".join(
+        f"{k} {v:.1e}" for k, v in worst.items())
     report(1, ok, detail)
 
 

@@ -1,4 +1,8 @@
-from qglab.checks import CheckResult, run_all
+import numpy as np
+
+import qglab.operators
+from qglab import Grid, derivative
+from qglab.checks import CheckResult, run_all, structure_defects
 from qglab.cli import cli_main
 
 
@@ -7,6 +11,19 @@ def test_suite_passes_on_small_grid():
     assert results
     for r in results:
         assert r.passed, f"{r.name}: worst {r.worst:.3e} > tol {r.tolerance:.1e}"
+
+
+def test_suite_fails_on_a_broken_potential_vorticity(monkeypatch):
+    # drop the -F d3 theta term: the QG split no longer annihilates pv(osc)
+    def pv_without_buoyancy(grid, U, froude=1.0):
+        return derivative(grid, U[1], 1) - derivative(grid, U[0], 2)
+
+    monkeypatch.setattr(qglab.operators, "potential_vorticity", pv_without_buoyancy)
+    monkeypatch.setattr(qglab.checks, "potential_vorticity", pv_without_buoyancy)
+    worst = structure_defects(Grid(16), np.random.default_rng(5), 3)
+    assert worst["projections"] > 1e-10
+    results = {r.name: r for r in run_all(n=16, draws=3, seed=5)}
+    assert not results["QG/osc idempotence and complement"].passed
 
 
 def test_check_invariants_cli(monkeypatch, capsys):

@@ -248,6 +248,17 @@ class TestPEStep:
         U = np.zeros((4,) + grid8.shape, dtype=complex)
         assert l2_norm(pe_step(U, prop)) == 0.0
 
+    def test_nonlinear_step_rejects_off_band_state(self, grid16, params):
+        # the rotational N(U) is exact only on the 2/3 band
+        rng = np.random.default_rng(9)
+        U = leray_project(grid16, to_spectral(grid16, rng.standard_normal((4,) + (16,) * 3)))
+        U[:, 0, 0, 0] = 0.0
+        prop = build_propagator(grid16, params, 0.01)
+        with pytest.raises(ValueError, match="2/3 band"):
+            pe_step(U, prop)
+        assert np.isfinite(pe_step(dealias(grid16, U), prop)).all()
+        assert np.isfinite(pe_step(U, prop, nonlinear=False)).all()
+
     def test_linear_l2_conservation_inviscid(self, grid8):
         p = Params(epsilon=0.05, nu=INVISCID, nu_prime=INVISCID)
         prop = build_propagator(grid8, p, 0.01)
@@ -319,7 +330,7 @@ class TestPERun:
         assert gap <= 1e-8 * l2_norm(limit.final_omega)
 
     def test_energy_inequality_and_monotonicity(self, grid16, rng, params):
-        U0 = random_state(grid16, rng, peak_k=2.0)
+        U0 = random_state(grid16, rng)
         U0 *= 0.5 / sobolev_norm(grid16, U0, 1.0)
         rec = pe_run(grid16, U0, params, 0.5, 0.005, small_diag())
         assert rec.energy_monotone
