@@ -5,7 +5,7 @@ of one structural identity, and compares it against a fixed tolerance, so a
 deployed install can vet itself without pytest. The identities of the
 QG/oscillating structure are computed once, by :func:`structure_defects`;
 acceptance criterion 1 calls that same function with its own draws and
-tolerances.
+tolerances, and criterion 6 calls :func:`truncation_defects` likewise.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .diagnostics import (
     hs_inner,
@@ -30,7 +31,7 @@ from .operators import (
     project_osc,
     project_qg,
 )
-from .pe_solver import build_propagator
+from .pe_solver import _linear_symbols, build_propagator
 from .spectral import (
     Grid,
     Params,
@@ -47,7 +48,7 @@ from .spectral import (
     to_spectral,
 )
 
-__all__ = ["CheckResult", "run_all", "structure_defects"]
+__all__ = ["CheckResult", "run_all", "structure_defects", "truncation_defects"]
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,24 @@ def structure_defects(grid, rng, draws):
     return worst
 
 
+def truncation_defects(grid, rng, draws):
+    """Worst H^s ratio ||lowpass(f, m)|| / ||f|| (s = -1, 0, 1) and whether
+    every high-frequency tail bound holds, for m = 1..5 over ``draws``
+    mean-free transforms of white noise."""
+    worst_ratio, tail_ok = 0.0, True
+    for _ in range(draws):
+        f = to_spectral(grid, rng.standard_normal((grid.n,) * 3))
+        f[0, 0, 0] = 0.0
+        for m in range(1, 6):
+            low = lowpass(grid, f, m)
+            for s in (-1.0, 0.0, 1.0):
+                worst_ratio = max(worst_ratio,
+                                  sobolev_norm(grid, low, s) / sobolev_norm(grid, f, s))
+            for s, alpha in ((-1.0, 0.5), (0.0, 1.0), (1.0, 0.25)):
+                tail_ok &= tail_bound_check(grid, f, m, s, alpha).passed
+    return worst_ratio, tail_ok
+
+
 def run_all(n=32, draws=50, seed=2024):
     """Run every invariant check; returns a list of CheckResult."""
     grid = Grid(n)
@@ -182,19 +201,8 @@ def run_all(n=32, draws=50, seed=2024):
     add("QG diffusion = QG projection of full diffusion", worst["diffusion identity"], 1e-10)
     add("H^1 energy cancellation on QG fields", worst["H1 cancellation"], 1e-8)
 
-    # smooth truncation: contraction and tail bound
-    worst_con, tail_ok = 0.0, True
-    for _ in range(draws):
-        f = to_spectral(grid, rng.standard_normal((n, n, n)))
-        f[0, 0, 0] = 0.0
-        for m in range(1, 6):
-            low = lowpass(grid, f, m)
-            for s in (-1.0, 0.0, 1.0):
-                nf = sobolev_norm(grid, f, s)
-                worst_con = max(worst_con, (sobolev_norm(grid, low, s) - nf) / nf)
-            for s, alpha in ((-1.0, 0.5), (0.0, 1.0), (1.0, 0.25)):
-                tail_ok &= tail_bound_check(grid, f, m, s, alpha).passed
-    add("low-pass H^s contraction", max(worst_con, 0.0), 1e-14)
+    ratio, tail_ok = truncation_defects(grid, rng, draws)
+    add("low-pass H^s contraction", max(ratio - 1.0, 0.0), 1e-14)
     add("high-frequency tail bound", 0.0 if tail_ok else 1.0, 0.0)
 
     # interpolation: H^3/2 between H^0 and H^2
@@ -219,5 +227,16 @@ def run_all(n=32, draws=50, seed=2024):
             z = prop.apply_full(z)
         worst = max(worst, abs(l2_norm(z) - norm0) / norm0)
     add("inviscid propagator norm preservation", worst, 1e-10)
+
+    # the per-class build against one expm per stored mode
+    params = Params(epsilon=0.05, nu=1e-2, nu_prime=5e-3, froude=0.5)
+    dt = 0.01
+    got = np.moveaxis(build_propagator(small, params, dt).half, (0, 1), (-2, -1))
+    want = scipy.linalg.expm((0.5 * dt) * _linear_symbols(small, params))
+    want = want.reshape(small.shape + (4, 4))
+    want[0, 0, 0] = 0.0
+    scale = np.maximum(np.abs(want).max(axis=(-2, -1)), 1e-300)
+    add("propagator equals per-mode expm on every stored mode",
+        (np.abs(got - want).max(axis=(-2, -1)) / scale).max(), 1e-12)
 
     return results

@@ -46,10 +46,10 @@ import numpy as np
 
 from .operators import (
     apply_qg_diffusion,
+    biot_savart,
     osc_vorticity_source,
     potential_vorticity,
     project_osc,
-    project_qg,
 )
 from .spectral import advect_scalar, derivative, l2_norm
 
@@ -241,7 +241,7 @@ def vorticity_residual(record, params):
         dt_pv = (pv[i + 1] - pv[i - 1]) / (2.0 * ds)
         adv = advect_scalar(grid, U[:3], omega)
         diff = apply_qg_diffusion(grid, omega, params.nu, params.nu_prime, F)
-        U_qg = project_qg(grid, U, F)
+        U_qg = biot_savart(grid, omega, F)
         U_osc = U - U_qg
         visc = (
             (params.nu - params.nu_prime)

@@ -24,8 +24,11 @@ half-step factor Eh = exp(dt/2 M) alone, exp(dt M) = Eh Eh:
     k4 = N(Eh (Eh U + dt k3))
     U_next = Eh (Eh (U + (dt/6) k1) + (dt/3) (k2 + k3)) + (dt/6) k4.
 
-Eh comes from batched scaling-and-squaring over all modes, which stays
-accurate where M is non-normal or defective.
+M commutes with rotations about the vertical axis, so Eh at xi is
+R Eh(xi') R^T with xi' = (|xi_h|, 0, xi3) and R = diag(R_phi, 1, 1) turning
+xi' into xi. Eh is therefore built once per class (k1^2 + k2^2, |k3|), by
+batched scaling-and-squaring, which stays accurate where M is non-normal or
+defective, and rotated into each mode of the class.
 """
 
 from __future__ import annotations
@@ -72,15 +75,10 @@ class BlowUpError(RuntimeError):
         self.reason = reason
 
 
-def _linear_symbols(grid, params):
-    """Real 4x4 symbol of M = L - (1/eps) P A at every stored mode, shape
-    (n^2 (n/2+1), 4, 4); M(-xi) = M(xi), so the half-spectrum covers all."""
+def _symbols(kd, params):
+    """Real 4x4 symbol of M = L - (1/eps) P A at each row of an (m, 3)
+    wavevector array, shape (m, 4, 4)."""
     F = params.froude
-    kd = np.stack(
-        [np.broadcast_to(k, grid.shape).ravel()
-         for k in (grid.kd1, grid.kd2, grid.kd3)],
-        axis=-1,
-    )  # (n^2 (n/2+1), 3)
     k2 = np.einsum("mi,mi->m", kd, kd)
     inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
 
@@ -102,14 +100,27 @@ def _linear_symbols(grid, params):
     return m
 
 
+def _linear_symbols(grid, params):
+    """The symbol at every stored mode, shape (n^2 (n/2+1), 4, 4);
+    M(-xi) = M(xi), so the half-spectrum covers all."""
+    kd = np.stack(
+        [np.broadcast_to(k, grid.shape).ravel()
+         for k in (grid.kd1, grid.kd2, grid.kd3)],
+        axis=-1,
+    )
+    return _symbols(kd, params)
+
+
 @dataclass
 class LinearPropagator:
     """Cached per-mode exponentials of the stiff linear symbol.
 
-    ``half`` is a (4, 4, n, n, n//2+1) real array; ``half[a, b]`` is the
-    (a, b) entry of exp(dt/2 * M) over the half-spectrum, and exp(dt * M) is
-    applied as two half steps. ``matrix_at(i, j, k)`` recovers the
-    conventional 4x4 matrix of a single mode, 0 <= k <= n/2.
+    ``half`` is a C-contiguous (4, 4, n, n, n//2+1) real array; ``half[a, b]``
+    is the (a, b) entry of exp(dt/2 * M) over the half-spectrum, each mode's
+    matrix its symmetry class's exponential rotated by diag(R_phi, 1, 1)
+    (see :func:`build_propagator`), and exp(dt * M) is applied as two half
+    steps. ``matrix_at(i, j, k)`` recovers the conventional 4x4 matrix of a
+    single mode, 0 <= k <= n/2.
     """
 
     grid: object
@@ -144,8 +155,24 @@ def clear_propagator_cache():
     _PROP_CACHE.clear()
 
 
+def _rotate_pair(x, y, cos, sin):
+    """(x, y) <- (cos x - sin y, sin x + cos y), in place."""
+    t = sin * x
+    x *= cos
+    x -= sin * y
+    y *= cos
+    y += t
+
+
 def build_propagator(grid, params, dt):
-    """Per-mode exponential of dt * (L - (1/eps) P A); the k=0 mode maps to 0."""
+    """Per-mode exponential of dt * (L - (1/eps) P A); the k=0 mode maps to 0.
+
+    M commutes with rotations about the vertical axis, which act as
+    R = diag(R_phi, 1, 1) on (v1, v2, v3, theta). So one ``expm`` per class
+    (k1^2 + k2^2, |k3|) of the Nyquist-zeroed integer wavenumbers, taken at
+    xi' = (|xi_h|, 0, xi3), gives every mode of the class as R E' R^T with
+    cos phi = xi1 / |xi_h|, sin phi = xi2 / |xi_h| (the identity at xi_h = 0).
+    """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     key = (grid.cache_key, params, float(dt))
@@ -154,10 +181,28 @@ def build_propagator(grid, params, dt):
         _PROP_CACHE.move_to_end(key)
         return cached
 
-    half = scipy.linalg.expm((0.5 * float(dt)) * _linear_symbols(grid, params))
-    half = half.reshape(grid.shape + (4, 4))
-    half[0, 0, 0] = 0.0
-    half = np.ascontiguousarray(np.moveaxis(half, (3, 4), (0, 1)))
+    n = grid.n
+    k = grid.k_int.copy()
+    k[n // 2] = 0  # the integer wavenumbers behind grid.kd*
+    h2, h_cls = np.unique(k[:, None] ** 2 + k[None, :] ** 2, return_inverse=True)
+    k3, k3_cls = np.unique(np.abs(k[: n // 2 + 1]), return_inverse=True)
+    scale = 2.0 * np.pi / grid.box_length
+    xi = np.zeros((h2.size, k3.size, 3))
+    xi[:, :, 0] = scale * np.sqrt(h2)[:, None]
+    xi[:, :, 2] = scale * k3
+    ec = scipy.linalg.expm((0.5 * float(dt)) * _symbols(xi.reshape(-1, 3), params))
+    # gather from a contiguous (4, 4, classes) table: a C-contiguous factor
+    cls = h_cls.reshape(n, n, 1) * k3.size + k3_cls
+    half = np.take(np.ascontiguousarray(ec.transpose(1, 2, 0)), cls, axis=-1)
+
+    h_mag = np.sqrt(grid.kd1**2 + grid.kd2**2)
+    cos = np.divide(grid.kd1, h_mag, out=np.ones_like(h_mag), where=h_mag > 0)
+    sin = np.divide(grid.kd2, h_mag, out=np.zeros_like(h_mag), where=h_mag > 0)
+    for b in range(4):  # R E'
+        _rotate_pair(half[0, b], half[1, b], cos, sin)
+    for a in range(4):  # (R E') R^T
+        _rotate_pair(half[a, 0], half[a, 1], cos, sin)
+    half[:, :, 0, 0, 0] = 0.0
     prop = LinearPropagator(grid=grid, params=params, dt=float(dt), half=half)
     _PROP_CACHE[key] = prop
     if len(_PROP_CACHE) > _PROP_CACHE_SIZE:

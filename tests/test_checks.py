@@ -1,6 +1,7 @@
 import numpy as np
 
 import qglab.operators
+import qglab.pe_solver
 from qglab import Grid, derivative
 from qglab.checks import CheckResult, run_all, structure_defects
 from qglab.cli import cli_main
@@ -24,6 +25,17 @@ def test_suite_fails_on_a_broken_potential_vorticity(monkeypatch):
     assert worst["projections"] > 1e-10
     results = {r.name: r for r in run_all(n=16, draws=3, seed=5)}
     assert not results["QG/osc idempotence and complement"].passed
+
+
+def test_suite_fails_on_an_unrotated_propagator(monkeypatch):
+    # without the rotation every mode gets its class matrix at phi = 0
+    monkeypatch.setattr(qglab.pe_solver, "_rotate_pair", lambda *args: None)
+    qglab.pe_solver.clear_propagator_cache()
+    try:
+        results = {r.name: r for r in run_all(n=8, draws=1, seed=5)}
+    finally:
+        qglab.pe_solver.clear_propagator_cache()
+    assert not results["propagator equals per-mode expm on every stored mode"].passed
 
 
 def test_check_invariants_cli(monkeypatch, capsys):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from qglab import (
@@ -119,6 +120,39 @@ class TestPropagator:
         # v3 row frozen, theta picks up the shear term (defective block)
         assert np.abs(got[2] - [0, 0, 1, 0]).max() < 1e-12
         assert np.abs(got[3] - [0, 0, angle / froude, 1]).max() < 1e-12
+
+    @pytest.mark.parametrize("box_length", [2 * np.pi, 3.0])
+    @pytest.mark.parametrize("froude", [1.0, 0.5])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_class_build_matches_per_mode_expm(self, n, froude, box_length):
+        # every stored mode: the k3 = 0 and Nyquist planes, the k1 = n/2 and
+        # k2 = n/2 rows, and modes whose rotation angle is not a multiple of pi/2
+        grid = Grid(n, box_length)
+        p = Params(epsilon=0.03, nu=1e-2, nu_prime=3e-3, froude=froude)
+        dt = 0.01
+        prop = build_propagator(grid, p, dt)
+        assert prop.half.flags.c_contiguous
+        got = np.moveaxis(prop.half, (0, 1), (-2, -1))
+        want = scipy.linalg.expm((dt / 2) * _linear_symbols(grid, p))
+        want = want.reshape(grid.shape + (4, 4))
+        want[0, 0, 0] = 0.0
+        err = np.abs(got - want).max(axis=(-2, -1))
+        assert err[0, 0, 0] == 0.0
+        assert np.all(err <= 1e-13 * np.abs(want).max(axis=(-2, -1)))
+
+    def test_one_expm_per_symmetry_class(self, grid32, params, monkeypatch):
+        # (k1^2 + k2^2, |k3|) takes 120 x 16 values on the 17408 stored modes
+        batches = []
+        expm = scipy.linalg.expm
+
+        def counting(a):
+            batches.append(np.shape(a))
+            return expm(a)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counting)
+        clear_propagator_cache()
+        build_propagator(grid32, params, 0.01)
+        assert batches == [(1920, 4, 4)]
 
     def test_zero_mode_maps_to_zero(self, grid8, params):
         prop = build_propagator(grid8, params, 0.01)
