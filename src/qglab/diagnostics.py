@@ -162,14 +162,11 @@ def hs_inner(grid, f, g, s):
     return float(np.sum(w * f * np.conj(g)).real)
 
 
-def space_time_norm(series, field, s, nu, nu_prime, t_max=None):
+def space_time_norm(series, field, s, nu, nu_prime):
     """sup-in-time H^s norm combined with dissipation-weighted H^(s+1)."""
     t = series.time_array()
     hs = series.channel(hs_channel(field, s))
     hs1 = series.channel(hs_channel(field, s + 1))
-    if t_max is not None:
-        keep = t <= t_max * (1 + 1e-12)
-        t, hs, hs1 = t[keep], hs[keep], hs1[keep]
     if len(t) == 0:
         return 0.0
     dissipation = np.trapezoid(hs1**2, t) if len(t) > 1 else 0.0

@@ -7,9 +7,9 @@ U = (v1, v2, v3, theta):
 
 where P is the Leray projector extended by the identity on theta, L the
 anisotropic diffusion and A the skew rotation/buoyancy coupling. Per Fourier
-mode M is a real 4x4 matrix; its exponential is cached for the step size in
-use, so the arbitrarily stiff (1/eps) oscillation and the diffusion are
-integrated exactly and only advection constrains the step.
+mode M is a real 4x4 matrix; each run builds its exponential for the step
+size in use, so the arbitrarily stiff (1/eps) oscillation and the diffusion
+are integrated exactly and only advection constrains the step.
 
 The nonlinear term is taken in rotational form, N(U) = -P(omega x v,
 v . grad theta) with omega = curl v: on the 2/3 band it equals -P(v . grad U)
@@ -33,7 +33,6 @@ defective, and rotated into each mode of the class.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -58,7 +57,6 @@ __all__ = [
     "BlowUpError",
     "LinearPropagator",
     "build_propagator",
-    "clear_propagator_cache",
     "pe_step",
     "pe_run",
     "PERunRecord",
@@ -113,7 +111,7 @@ def _linear_symbols(grid, params):
 
 @dataclass
 class LinearPropagator:
-    """Cached per-mode exponentials of the stiff linear symbol.
+    """Per-mode exponentials of the stiff linear symbol.
 
     ``half`` is a C-contiguous (4, 4, n, n, n//2+1) real array; ``half[a, b]``
     is the (a, b) entry of exp(dt/2 * M) over the half-spectrum, each mode's
@@ -124,7 +122,6 @@ class LinearPropagator:
     """
 
     grid: object
-    params: object
     dt: float
     half: np.ndarray = field(repr=False)
 
@@ -139,20 +136,13 @@ class LinearPropagator:
             out[a] += mats[a, 3] * U[3]
         return out
 
-    def apply_full(self, U):
-        return self.apply_half(self.apply_half(U))
-
     def matrix_at(self, i, j, k):
         m = np.ascontiguousarray(self.half[:, :, i, j, k])
         return m @ m
 
 
-_PROP_CACHE = OrderedDict()
-_PROP_CACHE_SIZE = 8
-
-
 def clear_propagator_cache():
-    _PROP_CACHE.clear()
+    """No-op kept for the benchmark, its only caller: nothing is cached."""
 
 
 def _rotate_pair(x, y, cos, sin):
@@ -165,7 +155,8 @@ def _rotate_pair(x, y, cos, sin):
 
 
 def build_propagator(grid, params, dt):
-    """Per-mode exponential of dt * (L - (1/eps) P A); the k=0 mode maps to 0.
+    """Per-mode exponential of (dt/2) * (L - (1/eps) P A); the k=0 mode maps
+    to 0. Every call builds a new factor, owned by its caller.
 
     M commutes with rotations about the vertical axis, which act as
     R = diag(R_phi, 1, 1) on (v1, v2, v3, theta). So one ``expm`` per class
@@ -175,11 +166,6 @@ def build_propagator(grid, params, dt):
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    key = (grid.cache_key, params, float(dt))
-    cached = _PROP_CACHE.get(key)
-    if cached is not None:
-        _PROP_CACHE.move_to_end(key)
-        return cached
 
     n = grid.n
     k = grid.k_int.copy()
@@ -203,11 +189,7 @@ def build_propagator(grid, params, dt):
     for a in range(4):  # (R E') R^T
         _rotate_pair(half[a, 0], half[a, 1], cos, sin)
     half[:, :, 0, 0, 0] = 0.0
-    prop = LinearPropagator(grid=grid, params=params, dt=float(dt), half=half)
-    _PROP_CACHE[key] = prop
-    if len(_PROP_CACHE) > _PROP_CACHE_SIZE:
-        _PROP_CACHE.popitem(last=False)
-    return prop
+    return LinearPropagator(grid=grid, dt=float(dt), half=half)
 
 
 def _nonlinear(grid, U):
@@ -251,7 +233,7 @@ def pe_step(U, prop, *, nonlinear=True):
         out = _lawson_rk4(U, prop.dt, partial(_nonlinear, prop.grid),
                           prop.apply_half)
     else:
-        out = prop.apply_full(U)
+        out = prop.apply_half(prop.apply_half(U))
     if not np.isfinite(out.view(np.float64)).all():
         raise BlowUpError(float("nan"), "non-finite state after step")
     return out
@@ -293,8 +275,7 @@ def _step_count(t_end, dt):
     return n_steps
 
 
-def pe_run(grid, U0, params, t_end, dt, diag, *,
-           nonlinear=True, extra_diag=None):
+def pe_run(grid, U0, params, t_end, dt, diag, *, extra_diag=None):
     """Integrate to t_end recording diagnostics.
 
     ``diag`` supplies the H^s lists and cadences; ``extra_diag(step, t, dec)``
@@ -345,7 +326,7 @@ def pe_run(grid, U0, params, t_end, dt, diag, *,
     for step in range(1, n_steps + 1):
         t = step * dt
         try:
-            U = pe_step(U, prop, nonlinear=nonlinear)
+            U = pe_step(U, prop)
         except BlowUpError as err:
             raise BlowUpError(t, err.reason) from None
         U = enforce_mean_zero(U)

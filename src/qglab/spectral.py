@@ -101,10 +101,6 @@ class Grid:
         )
         self._norm_weights = {}
 
-    @property
-    def cache_key(self):
-        return (self.n, self.box_length)
-
     def mesh(self):
         """Physical coordinate arrays x1, x2, x3, each of shape (n, n, n)."""
         x = np.arange(self.n) * (self.box_length / self.n)

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError
-from .diagnostics import NormSeries, hs_channel, sobolev_norm, space_time_norm
+from .diagnostics import hs_channel, sobolev_norm, space_time_norm
 from .initial_data import make_well_prepared_data
 from .operators import potential_vorticity
 from .pe_solver import BlowUpError, _step_count, default_dt, pe_run
@@ -216,14 +216,10 @@ plot \\
 
 
 def export(result, out_dir):
-    """Write CSV files (and, for sweeps, a gnuplot script); returns paths."""
+    """Write a sweep's CSV files and gnuplot script; returns their paths."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        if isinstance(result, NormSeries):
-            path = out / "series.csv"
-            result.to_csv(path)
-            return [path]
         if not isinstance(result, SweepResult):
             raise TypeError(f"cannot export {type(result).__name__}")
 

@@ -30,11 +30,7 @@ def test_suite_fails_on_a_broken_potential_vorticity(monkeypatch):
 def test_suite_fails_on_an_unrotated_propagator(monkeypatch):
     # without the rotation every mode gets its class matrix at phi = 0
     monkeypatch.setattr(qglab.pe_solver, "_rotate_pair", lambda *args: None)
-    qglab.pe_solver.clear_propagator_cache()
-    try:
-        results = {r.name: r for r in run_all(n=8, draws=1, seed=5)}
-    finally:
-        qglab.pe_solver.clear_propagator_cache()
+    results = {r.name: r for r in run_all(n=8, draws=1, seed=5)}
     assert not results["propagator equals per-mode expm on every stored mode"].passed
 
 

@@ -124,9 +124,10 @@ class TestSpaceTimeNorm:
 
     def test_monotone_in_horizon(self):
         rng = np.random.default_rng(2)
-        s = self._series([(0.1 * i, rng.random(), rng.random()) for i in range(11)])
-        values = [space_time_norm(s, "f", 0.0, 1e-2, 5e-3, t_max=t)
-                  for t in (0.2, 0.5, 1.0)]
+        pairs = [(0.1 * i, rng.random(), rng.random()) for i in range(11)]
+        # prefix series end at t = 0.2, 0.5 and 1.0
+        values = [space_time_norm(self._series(pairs[:m]), "f", 0.0, 1e-2, 5e-3)
+                  for m in (3, 6, 11)]
         assert values[0] <= values[1] <= values[2]
 
     def test_missing_channel(self):

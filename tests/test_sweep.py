@@ -1,8 +1,11 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import qglab.pe_solver
 from qglab import NormSeries, export, fit_rate, run_convergence_sweep
 from qglab.config import default_config
 from qglab.sweep import METRIC_NAMES, SweepResult
@@ -77,6 +80,25 @@ class TestRunConvergenceSweep:
         for name in METRIC_NAMES:
             assert r1.metrics[name] == r2.metrics[name]
 
+    def test_each_run_frees_its_propagator(self, monkeypatch):
+        # a factor is dead by the next build, and all are once the sweep returns
+        build = qglab.pe_solver.build_propagator
+        refs, alive_at_build = [], []
+
+        def tracked(*args):
+            gc.collect()
+            alive_at_build.append(sum(r() is not None for r in refs))
+            prop = build(*args)
+            refs.append(weakref.ref(prop))
+            return prop
+
+        monkeypatch.setattr(qglab.pe_solver, "build_propagator", tracked)
+        result = run_convergence_sweep(tiny_sweep_config(epsilons=(0.2, 0.1, 0.05)))
+        gc.collect()
+        assert len(result.pe_records) == 3
+        assert alive_at_build == [0, 0, 0]
+        assert all(r() is None for r in refs)
+
     def test_blow_up_names_offending_epsilon(self):
         from qglab import BlowUpError
 
@@ -89,15 +111,6 @@ class TestRunConvergenceSweep:
 
 
 class TestExport:
-    def test_norm_series_round_trip(self, tmp_path):
-        s = NormSeries()
-        s.append(0.0, {"a": 1.0 / 3.0})
-        s.append(0.5, {"a": math.pi * 1e-7})
-        paths = export(s, tmp_path)
-        assert len(paths) == 1
-        back = NormSeries.from_csv(paths[0])
-        assert back.channels == s.channels
-
     def test_sweep_files(self, tmp_path):
         cfg = tiny_sweep_config()
         result = run_convergence_sweep(cfg)
