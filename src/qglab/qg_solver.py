@@ -10,7 +10,12 @@ diffusion multiplier gamma is real and non-positive, so its exponential is a
 plain decay factor per mode; stepping uses the same integrating-factor RK4
 as the full solver, with the diffusion handled exactly and only advection
 entering the stages. The advecting velocity has zero third component, so
-each stage costs four scalar transforms.
+each stage costs four scalar transforms, whose inverse skips the lines the
+2/3 band leaves at zero (see the spectral module doc).
+
+The vorticity lives on the 2/3 band: ``qg_run`` cuts ``omega0`` to it, as
+``pe_run`` cuts U0, and ``qg_step`` and ``qg_rhs`` raise ValueError on a
+field with modes outside it.
 """
 
 from __future__ import annotations
@@ -24,9 +29,10 @@ from .diagnostics import NormSeries, hs_channel, sobolev_norm
 from .operators import biot_savart, qg_diffusion_symbol
 from .pe_solver import BlowUpError, _lawson_rk4, _step_count
 from .spectral import (
-    derivative,
+    _band_to_physical,
+    _require_band,
+    dealias,
     enforce_mean_zero,
-    from_spectral,
     inverse_anisotropic_laplacian,
     l2_norm,
     spectral_product,
@@ -36,23 +42,36 @@ __all__ = ["qg_rhs", "qg_step", "qg_run", "QGRunRecord"]
 
 
 def qg_rhs(grid, omega, params):
-    """Advection term -v . grad pv (diffusion is handled exactly elsewhere)."""
-    grid.check_shape(np.asarray(omega))
+    """Advection term -v . grad pv (diffusion is handled exactly elsewhere)
+    of a vorticity on the 2/3 band; ValueError otherwise."""
+    omega = np.asarray(omega)
+    grid.check_shape(omega)
+    _require_band(grid, omega, "qg_rhs")
+    return _qg_rhs(grid, omega, params)
+
+
+def _qg_rhs(grid, omega, params):
+    """qg_rhs without its checks."""
+    ikd1, ikd2 = 1j * grid.kd1, 1j * grid.kd2
     phi = inverse_anisotropic_laplacian(grid, omega, params.froude)
-    p = from_spectral(grid, np.stack([
-        -derivative(grid, phi, 2),   # v1
-        derivative(grid, phi, 1),    # v2
-        derivative(grid, omega, 1),  # d1 pv
-        derivative(grid, omega, 2),  # d2 pv
-    ]))
-    prod = p[0] * p[2] + p[1] * p[3]
-    return -spectral_product(grid, prod)
+    batch = np.empty((4,) + grid.shape, dtype=np.complex128)
+    np.multiply(-ikd2, phi, out=batch[0])   # v1
+    np.multiply(ikd1, phi, out=batch[1])    # v2
+    np.multiply(ikd1, omega, out=batch[2])  # d1 pv
+    np.multiply(ikd2, omega, out=batch[3])  # d2 pv
+    p = _band_to_physical(grid, batch)
+    prod = np.multiply(p[0], p[2], out=p[0])
+    prod += np.multiply(p[1], p[3], out=p[1])
+    return spectral_product(grid, np.negative(prod, out=prod))
 
 
 def qg_step(grid, omega, dt, params):
-    """One integrating-factor RK4 step with the exact diffusion factor."""
+    """One integrating-factor RK4 step with the exact diffusion factor, of a
+    vorticity on the 2/3 band; ValueError otherwise."""
+    grid.check_shape(omega)
+    _require_band(grid, omega, "qg_step")
     sym = qg_diffusion_symbol(grid, params.nu, params.nu_prime, params.froude)
-    return _lawson_rk4(omega, dt, partial(qg_rhs, grid, params=params),
+    return _lawson_rk4(omega, dt, partial(_qg_rhs, grid, params=params),
                        partial(np.multiply, np.exp(0.5 * dt * sym)))
 
 
@@ -81,18 +100,18 @@ class QGRunRecord:
 def qg_run(grid, omega0, params, t_end, dt, diag):
     """Integrate the vorticity to t_end recording diagnostics.
 
-    The vorticity L2 norm must not grow; at desk scale a triggered blow-up
-    guard means a defect, not physics.
+    omega0 is cut to the 2/3 band. The vorticity L2 norm must not grow; at
+    desk scale a triggered blow-up guard means a defect, not physics.
     """
     omega0 = np.asarray(omega0)
     grid.check_shape(omega0)
     n_steps = _step_count(t_end, dt)
 
     sym = qg_diffusion_symbol(grid, params.nu, params.nu_prime, params.froude)
-    rhs = partial(qg_rhs, grid, params=params)
+    rhs = partial(_qg_rhs, grid, params=params)
     ehalf = partial(np.multiply, np.exp(0.5 * dt * sym))
 
-    omega = enforce_mean_zero(omega0.astype(np.complex128))
+    omega = enforce_mean_zero(dealias(grid, omega0.astype(np.complex128)))
     series = NormSeries()
     snapshot_times, omega_snapshots = [], []
     l2_initial = l2_norm(omega)

@@ -25,6 +25,16 @@ Quadratic terms are formed pseudo-spectrally and cut with the 2/3 rule
 (coefficients with any |k_j| > n/3 are zeroed), which keeps the retained band
 alias-free for products of two such fields.
 
+Transforms are scipy.fft (pocketfft) calls over the last three axes, one
+batched call per direction for any leading field axes. The solvers' inverse
+transforms take a cheaper route to the same bits: their batches are zero off
+the band, so ``_band_to_physical`` runs the two complex passes in place and
+only on the lines the band reaches (k2 and k3 in the band for the k1 pass,
+k3 in the band for the k2 pass), then the real pass on every line. A line of
+zeros transforms to exact zeros, and each transformed line goes through the
+same pocketfft arithmetic as in ``irfftn``, so the output equals
+``from_spectral``'s bit for bit.
+
 The dynamical convention throughout the package is mean-zero: the k=0
 coefficient of every evolved field is pinned to zero.
 """
@@ -65,6 +75,8 @@ class Grid:
     ``shape = (n, n, n//2 + 1)``. ``kd1/kd2/kd3`` are the scaled,
     Nyquist-zeroed wavevectors used by every operator symbol; ``kmag2`` keeps
     the true +/- n/2 magnitudes and is reserved for norm weights.
+    ``band_edge = n // 3`` bounds the 2/3 band, |k_j| <= band_edge, which
+    ``dealias_mask`` marks.
     """
 
     def __init__(self, n, box_length=2.0 * np.pi):
@@ -94,7 +106,8 @@ class Grid:
             + k[:nh].reshape(1, 1, nh) ** 2
         )
 
-        keep = np.abs(k_int) <= n / 3.0
+        self.band_edge = n // 3
+        keep = np.abs(self.k_int) <= self.band_edge
         self.dealias_mask = (
             keep.reshape(n, 1, 1) & keep.reshape(1, n, 1)
             & keep[:nh].reshape(1, 1, nh)
@@ -177,6 +190,39 @@ def from_spectral(grid, coeffs):
     coeffs = np.asarray(coeffs)
     grid.check_shape(coeffs)
     return _fft.irfftn(coeffs, s=(grid.n,) * 3, axes=_AXES, norm="forward")
+
+
+def _in_place(transform, view, **kwargs):
+    """A complex pass over ``view`` that leaves its result there, copied
+    back if scipy returned a new array."""
+    out = transform(view, overwrite_x=True, norm="forward", **kwargs)
+    if not np.may_share_memory(out, view):
+        view[...] = out
+
+
+def _band_to_physical(grid, batch):
+    """``from_spectral`` of an owned batch of half-spectra that is zero off
+    the 2/3 band, bit for bit; the batch is overwritten.
+
+    The k1 pass runs on the two band blocks of k2 within the band's k3
+    planes, the k2 pass on the band's k3 planes; every other line of those
+    passes is zero in and zero out.
+    """
+    n, b = grid.n, grid.band_edge
+    _in_place(_fft.ifftn, batch[..., :b + 1, :b + 1], axes=(-3,))
+    _in_place(_fft.ifftn, batch[..., n - b:, :b + 1], axes=(-3,))
+    _in_place(_fft.ifftn, batch[..., :b + 1], axes=(-2,))
+    return _fft.irfftn(batch, s=(n,), axes=(-1,), norm="forward",
+                       overwrite_x=True)
+
+
+def _require_band(grid, f, who):
+    """ValueError unless f is zero off the 2/3 band; reads the three
+    off-band slabs as views."""
+    n, b = grid.n, grid.band_edge
+    if (np.any(f[..., b + 1:n - b, :, :]) or np.any(f[..., b + 1:n - b, :])
+            or np.any(f[..., b + 1:])):
+        raise ValueError(f"{who}: field has modes outside the 2/3 band")
 
 
 def enforce_mean_zero(f):

@@ -5,6 +5,7 @@ import scipy.fft
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
+import qglab.pe_solver
 from qglab import (
     BlowUpError,
     Grid,
@@ -13,6 +14,7 @@ from qglab import (
     build_propagator,
     dealias,
     energy_check,
+    from_spectral,
     l2_norm,
     leray_project,
     max_divergence,
@@ -236,6 +238,16 @@ class TestNonlinear:
             assert got[:, 0, 0, 0].tolist() == [0.0] * 4
             assert max_divergence(grid, got) <= 1e-12
             assert not np.any(got[:, ~grid.dealias_mask])
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_pruned_inverse_is_bit_identical(self, n, monkeypatch):
+        # the reference takes the full irfftn of the same batch
+        grid = Grid(n)
+        U = random_state(grid, np.random.default_rng(n))
+        got = _nonlinear(grid, U)
+        monkeypatch.setattr(qglab.pe_solver, "_band_to_physical",
+                            lambda g, batch: from_spectral(g, batch))
+        assert np.array_equal(got, _nonlinear(grid, U))
 
     def test_transform_and_apply_counts(self, grid8, params, monkeypatch):
         # 9 fields in and 4 out per evaluation, 4 evaluations per step;

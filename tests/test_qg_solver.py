@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+import scipy.fft
 
+import qglab.qg_solver
 from qglab import (
+    Grid,
     Params,
     biot_savart,
+    dealias,
     energy_check,
+    from_spectral,
     l2_inner,
     l2_norm,
     potential_vorticity,
@@ -22,6 +27,14 @@ def diag(cadence=10):
     return DiagConfig(s_list=(-1.0, 0.0, 0.5, 1.0, 1.5), cadence=cadence)
 
 
+def full_band_vorticity(grid):
+    """Mean-zero white noise with modes outside the 2/3 band."""
+    om = 0.1 * to_spectral(grid, np.random.default_rng(9).standard_normal((grid.n,) * 3))
+    om[0, 0, 0] = 0.0
+    assert np.any(om[~grid.dealias_mask])
+    return om
+
+
 class TestQGRhs:
     def test_zero(self, grid16, params):
         om = np.zeros(grid16.shape, dtype=complex)
@@ -29,10 +42,11 @@ class TestQGRhs:
 
     def test_single_mode_self_advection_vanishes(self, grid16, params):
         # one mode: velocity is perpendicular to the vorticity gradient
+        # (the cut drops the transform's roundoff off the band)
         g = grid16
         x1, x2, _ = g.mesh()
         w = 2 * np.pi / g.box_length
-        om = to_spectral(g, np.sin(w * x1) * np.cos(2 * w * x2))
+        om = dealias(g, to_spectral(g, np.sin(w * x1) * np.cos(2 * w * x2)))
         assert l2_norm(qg_rhs(g, om, params)) <= 1e-14 * l2_norm(om)
 
     def test_advection_conserves_l2(self, grid16, rng, params):
@@ -48,15 +62,31 @@ class TestQGRhs:
         ref = -advect_scalar(grid16, v, om)
         assert np.abs(qg_rhs(grid16, om, params) - ref).max() < 1e-15
 
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_pruned_inverse_is_bit_identical(self, n, params, monkeypatch):
+        # the reference takes the full irfftn of the same batch
+        grid = Grid(n)
+        om = random_scalar(grid, np.random.default_rng(n))
+        got = qg_rhs(grid, om, params)
+        monkeypatch.setattr(qglab.qg_solver, "_band_to_physical",
+                            lambda g, batch: from_spectral(g, batch))
+        assert np.array_equal(got, qg_rhs(grid, om, params))
+
+    def test_rejects_off_band_vorticity(self, grid16, params):
+        om = full_band_vorticity(grid16)
+        with pytest.raises(ValueError, match="2/3 band"):
+            qg_rhs(grid16, om, params)
+
 
 class TestQGStep:
     def test_single_mode_exact_decay(self, grid16, params):
         # advection vanishes on one mode, so the step is the exact
-        # diffusion factor exp(gamma dt)
+        # diffusion factor exp(gamma dt); the cut drops the transform's
+        # roundoff off the band
         g = grid16
         x1, _, x3 = g.mesh()
         w = 2 * np.pi / g.box_length
-        om0 = to_spectral(g, np.sin(w * x1) * np.cos(w * x3))
+        om0 = dealias(g, to_spectral(g, np.sin(w * x1) * np.cos(w * x3)))
         sym = qg_diffusion_symbol(g, params.nu, params.nu_prime, params.froude)
         om = om0.copy()
         t, dt = 0.0, 0.01
@@ -69,6 +99,28 @@ class TestQGStep:
     def test_zero(self, grid16, params):
         om = np.zeros(grid16.shape, dtype=complex)
         assert l2_norm(qg_step(grid16, om, 0.01, params)) == 0.0
+
+    def test_rejects_off_band_vorticity(self, grid16, params):
+        om = full_band_vorticity(grid16)
+        with pytest.raises(ValueError, match="2/3 band"):
+            qg_step(grid16, om, 0.01, params)
+        assert np.isfinite(qg_step(grid16, dealias(grid16, om), 0.01, params)).all()
+
+    def test_transform_counts(self, grid8, params, monkeypatch):
+        # 4 fields in and 1 out per evaluation, 4 evaluations per step
+        fields = []
+
+        def counting(fn):
+            def wrapper(x, *args, **kwargs):
+                fields.append(int(np.prod(np.shape(x)[:-3])))
+                return fn(x, *args, **kwargs)
+            return wrapper
+
+        om = random_scalar(grid8, np.random.default_rng(2))
+        for name in ("irfftn", "rfftn"):
+            monkeypatch.setattr(scipy.fft, name, counting(getattr(scipy.fft, name)))
+        qg_step(grid8, om, 0.01, params)
+        assert sum(fields) == 4 * (4 + 1)
 
 
 class TestQGRun:
@@ -109,6 +161,13 @@ class TestQGRun:
         e2 = l2_norm(finals[0.01] - finals[0.005])
         order = np.log2(e1 / e2)
         assert abs(order - 4.0) <= 0.5
+
+    def test_initial_vorticity_cut_to_the_band(self, grid16, params):
+        # a full-band vorticity runs exactly as its 2/3-band part
+        om0 = full_band_vorticity(grid16)
+        finals = [qg_run(grid16, om, params, 0.05, 0.01, diag()).final_omega
+                  for om in (om0, dealias(grid16, om0))]
+        assert np.array_equal(finals[0], finals[1])
 
     def test_rejects_time_grid_mismatch(self, grid16, rng, params):
         om0 = random_scalar(grid16, rng)

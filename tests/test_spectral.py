@@ -20,6 +20,7 @@ from qglab import (
     sobolev_norm,
     to_spectral,
 )
+from qglab.spectral import _band_to_physical, _require_band
 
 
 class TestGrid:
@@ -36,6 +37,14 @@ class TestGrid:
         # symmetric under k -> -k except the Nyquist mode
         nonzero = sorted(int(k) for k in g.k_int if k not in (0, -n // 2))
         assert nonzero == sorted(-k for k in nonzero)
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_band_edge_bounds_the_mask(self, n):
+        g = Grid(n)
+        assert g.band_edge == n // 3
+        keep = np.abs(g.k_int) <= n / 3
+        want = keep[:, None, None] & keep[None, :, None] & keep[None, None, : n // 2 + 1]
+        assert np.array_equal(g.dealias_mask, want)
 
     def test_nyquist_zeroed_for_derivatives(self):
         g = Grid(16)
@@ -276,3 +285,53 @@ class TestMeanZero:
         assert f[0, 0, 0] == 0.0
         U = random_state(grid32, rng)
         assert np.abs(U[:, 0, 0, 0]).max() == 0.0
+
+
+def band_edge_batch(grid, lead, rng):
+    """White noise cut to the 2/3 band, with every band-edge plane
+    |k_j| = n//3 carrying energy."""
+    f = dealias(grid, to_spectral(grid, rng.standard_normal(lead + (grid.n,) * 3)))
+    b = grid.band_edge
+    for edge in (f[..., b, :, :], f[..., -b, :, :], f[..., b, :],
+                 f[..., -b, :], f[..., b]):
+        assert np.any(edge)
+    return f
+
+
+class TestBandToPhysical:
+    @pytest.mark.parametrize("lead", [(4,), (9,)])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_bit_identical_to_from_spectral(self, n, lead):
+        g = Grid(n)
+        f = band_edge_batch(g, lead, np.random.default_rng([n, lead[0]]))
+        assert np.array_equal(_band_to_physical(g, f.copy()), from_spectral(g, f))
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_copy_back_when_scipy_returns_a_new_array(self, n, monkeypatch):
+        import scipy.fft
+
+        original, calls = scipy.fft.ifftn, []
+
+        def fresh(x, **kwargs):
+            calls.append(1)
+            return original(np.array(x), **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "ifftn", fresh)
+        g = Grid(n)
+        f = band_edge_batch(g, (4,), np.random.default_rng(n))
+        assert np.array_equal(_band_to_physical(g, f.copy()), from_spectral(g, f))
+        assert len(calls) == 3
+
+
+class TestRequireBand:
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_one_off_band_coefficient_on_any_axis_is_caught(self, n):
+        g = Grid(n)
+        b = g.band_edge
+        _require_band(g, np.ones((2,) + g.shape) * g.dealias_mask, "t")
+        for idx in ((b + 1, 0, 0), (n - b - 1, b, b), (0, b + 1, 0),
+                    (b, n - b - 1, 0), (0, 0, b + 1), (b, -b, n // 2)):
+            f = np.zeros((2,) + g.shape, dtype=complex)
+            f[(1,) + idx] = 1e-300
+            with pytest.raises(ValueError, match="2/3 band"):
+                _require_band(g, f, "t")
