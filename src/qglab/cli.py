@@ -33,7 +33,6 @@ from .spectral import Grid
 from .sweep import (
     METRIC_NAMES,
     export,
-    params_from_config,
     resolve_time,
     run_convergence_sweep,
 )
@@ -82,9 +81,8 @@ def _setup(cfg):
 def _cmd_run_pe(args):
     cfg = _load(args)
     grid, U0, dt, n_steps = _setup(cfg)
-    params = params_from_config(cfg)
-    print(f"run-pe: n={grid.n} eps={params.epsilon:g} dt={dt:g} steps={n_steps}")
-    record = pe_run(grid, U0, params, cfg.time.t_end, dt, cfg.diag)
+    print(f"run-pe: n={grid.n} eps={cfg.params.epsilon:g} dt={dt:g} steps={n_steps}")
+    record = pe_run(grid, U0, cfg.params, cfg.time.t_end, dt, cfg.diag)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "pe_series.csv"
@@ -100,10 +98,9 @@ def _cmd_run_pe(args):
 def _cmd_run_qg(args):
     cfg = _load(args)
     grid, U0, dt, n_steps = _setup(cfg)
-    params = params_from_config(cfg)
-    omega0 = potential_vorticity(grid, U0, params.froude)
+    omega0 = potential_vorticity(grid, U0, cfg.params.froude)
     print(f"run-qg: n={grid.n} dt={dt:g} steps={n_steps}")
-    record = qg_run(grid, omega0, params, cfg.time.t_end, dt, cfg.diag)
+    record = qg_run(grid, omega0, cfg.params, cfg.time.t_end, dt, cfg.diag)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "qg_series.csv"
@@ -151,8 +148,7 @@ def _cmd_decompose(args):
 def _cmd_check_conditions(args):
     cfg = _load(args)
     grid, U0, _, _ = _setup(cfg)
-    params = params_from_config(cfg)
-    report = smallness_condition(grid, U0, params)
+    report = smallness_condition(grid, U0, cfg.params)
     print(f"smallness evaluation (constant C = {report.c_big:g}):")
     print(f"  oscillating part H^-1: measured {report.measured_osc:.6g}  "
           f"threshold {report.threshold_osc:.6g}  margin {report.margin_osc:.6g}")

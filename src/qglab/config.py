@@ -1,14 +1,17 @@
 """Flat key=value run configuration.
 
 A config file is plain text, one ``dotted.key = value`` per line, with ``#``
-comments and blank lines ignored. Unknown keys are errors. Every field has a
-default matching the standard desk-scale scenario, so an empty file is a
-valid config. Lists (diag.s_list, sweep.epsilons) are comma-separated.
+comments and blank lines ignored. The dataclasses below declare every key,
+``section.field``, and each field's annotation picks its parser; the params
+section is :class:`qglab.spectral.Params`. Unknown keys are errors. Every
+field has a default matching the standard desk-scale scenario, so an empty
+file is a valid config. Lists (diag.s_list, sweep.epsilons) are
+comma-separated. Numbers must be finite: ``nan`` and ``inf`` are rejected.
 
 Documented ranges:
 
 * grid.n: power of two, 8 .. 256; grid.box_length > 0
-* params.*: positive; params.froude in (0, 1]
+* params.*: positive; params.froude in (0, 1] (checked by ``Params``)
 * time.dt: positive, or ``auto`` for min(0.5 dx / max|v0|, t_end/1000)
 * time.t_end > 0
 * init.seed: non-negative integer; init.spectrum_peak_k in [1, n/3)
@@ -18,19 +21,20 @@ Documented ranges:
 * init.osc_extra_smoothness >= 0
 * diag.s_list: values in [-2, 2], must contain 0 and 1
 * diag.cadence: positive steps; diag.snapshot_every: 0 (off) or a positive
-  multiple of cadence; diag.snapshot_t_max > 0
+  multiple of cadence, for the full and the limit run alike
 * sweep.epsilons: strictly decreasing positive values
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+
+from .spectral import Params
 
 __all__ = [
     "ConfigError",
     "GridConfig",
-    "ParamsConfig",
     "TimeConfig",
     "InitConfig",
     "DiagConfig",
@@ -54,14 +58,6 @@ class GridConfig:
 
 
 @dataclass
-class ParamsConfig:
-    epsilon: float = 0.1
-    nu: float = 1e-2
-    nu_prime: float = 5e-3
-    froude: float = 1.0
-
-
-@dataclass
 class TimeConfig:
     dt: float | None = None  # None = auto policy
     t_end: float = 1.0
@@ -81,7 +77,6 @@ class DiagConfig:
     s_list: tuple = (-1.0, 0.0, 0.5, 1.0, 1.5)
     cadence: int = 10
     snapshot_every: int = 0
-    snapshot_t_max: float = math.inf
 
 
 @dataclass
@@ -92,7 +87,9 @@ class SweepConfig:
 @dataclass
 class RunConfig:
     grid: GridConfig = field(default_factory=GridConfig)
-    params: ParamsConfig = field(default_factory=ParamsConfig)
+    params: Params = field(
+        default_factory=lambda: Params(epsilon=0.1, nu=1e-2, nu_prime=5e-3)
+    )
     time: TimeConfig = field(default_factory=TimeConfig)
     init: InitConfig = field(default_factory=InitConfig)
     diag: DiagConfig = field(default_factory=DiagConfig)
@@ -115,16 +112,16 @@ def _parse_int(key, raw):
 
 def _parse_float(key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_float_list(key, raw):
-    try:
-        return tuple(float(x) for x in raw.split(",") if x.strip())
-    except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}") from None
+    return tuple(_parse_float(key, x) for x in raw.split(",") if x.strip())
 
 
 def _parse_dt(key, raw):
@@ -133,39 +130,34 @@ def _parse_dt(key, raw):
     return _parse_float(key, raw)
 
 
-_PARSERS = {
-    "grid.n": _parse_int,
-    "grid.box_length": _parse_float,
-    "params.epsilon": _parse_float,
-    "params.nu": _parse_float,
-    "params.nu_prime": _parse_float,
-    "params.froude": _parse_float,
-    "time.dt": _parse_dt,
-    "time.t_end": _parse_float,
-    "init.seed": _parse_int,
-    "init.spectrum_peak_k": _parse_float,
-    "init.qg_amplitude": _parse_float,
-    "init.osc_amplitude": _parse_float,
-    "init.osc_extra_smoothness": _parse_float,
-    "diag.s_list": _parse_float_list,
-    "diag.cadence": _parse_int,
-    "diag.snapshot_every": _parse_int,
-    "diag.snapshot_t_max": _parse_float,
-    "sweep.epsilons": _parse_float_list,
+# a field's parser, by its annotation (a string: annotations are postponed)
+_PARSER_BY_TYPE = {
+    "int": _parse_int,
+    "float": _parse_float,
+    "float | None": _parse_dt,
+    "tuple": _parse_float_list,
 }
 
 
 def _set_key(cfg, key, raw):
-    parser = _PARSERS.get(key)
-    if parser is None:
+    section_name, _, name = key.partition(".")
+    types = {
+        f"{s.name}.{f.name}": f.type
+        for s in fields(cfg) for f in fields(getattr(cfg, s.name))
+    }
+    if key not in types:
         raise ConfigError(f"unknown config key {key!r}")
-    section, name = key.split(".", 1)
-    setattr(getattr(cfg, section), name, parser(key, raw))
+    value = _PARSER_BY_TYPE[types[key]](key, raw)
+    try:
+        section = replace(getattr(cfg, section_name), **{name: value})
+    except ValueError as err:
+        raise ConfigError(f"{key}: {err}") from None
+    setattr(cfg, section_name, section)
 
 
-def parse_config_text(text, base=None):
-    """Parse ``key = value`` lines over the defaults (or a given base)."""
-    cfg = base if base is not None else default_config()
+def parse_config_text(text):
+    """Parse ``key = value`` lines over the defaults."""
+    cfg = default_config()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -199,15 +191,11 @@ def apply_overrides(cfg, overrides):
 
 
 def validate_config(cfg):
-    g, p, t, i, d, s = cfg.grid, cfg.params, cfg.time, cfg.init, cfg.diag, cfg.sweep
+    g, t, i, d, s = cfg.grid, cfg.time, cfg.init, cfg.diag, cfg.sweep
     if g.n < 8 or g.n > 256 or (g.n & (g.n - 1)) != 0:
         raise ConfigError(f"grid.n must be a power of two in [8, 256], got {g.n}")
     if g.box_length <= 0:
         raise ConfigError("grid.box_length must be positive")
-    if p.epsilon <= 0 or p.nu <= 0 or p.nu_prime <= 0:
-        raise ConfigError("params.epsilon, params.nu, params.nu_prime must be positive")
-    if not 0.0 < p.froude <= 1.0:
-        raise ConfigError("params.froude must lie in (0, 1]")
     if t.dt is not None and t.dt <= 0:
         raise ConfigError("time.dt must be positive or auto")
     if t.t_end <= 0:
@@ -230,8 +218,6 @@ def validate_config(cfg):
         raise ConfigError("diag.cadence must be a positive step count")
     if d.snapshot_every < 0 or (d.snapshot_every and d.snapshot_every % d.cadence):
         raise ConfigError("diag.snapshot_every must be 0 or a multiple of cadence")
-    if d.snapshot_t_max <= 0:
-        raise ConfigError("diag.snapshot_t_max must be positive")
     if not s.epsilons:
         raise ConfigError("sweep.epsilons must not be empty")
     if any(e <= 0 for e in s.epsilons):

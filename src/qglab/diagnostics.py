@@ -167,9 +167,7 @@ def space_time_norm(series, field, s, nu, nu_prime):
     t = series.time_array()
     hs = series.channel(hs_channel(field, s))
     hs1 = series.channel(hs_channel(field, s + 1))
-    if len(t) == 0:
-        return 0.0
-    dissipation = np.trapezoid(hs1**2, t) if len(t) > 1 else 0.0
+    dissipation = np.trapezoid(hs1**2, t)
     return float(np.sqrt(hs.max() ** 2 + min(nu, nu_prime) * dissipation))
 
 
@@ -267,7 +265,7 @@ def bootstrap_monitor(series, nu, nu_prime, c_const=1.0):
     """Time-integrated squared H^3/2 oscillating norm vs its budget."""
     t = series.time_array()
     h32 = series.channel(hs_channel("Uosc", 1.5))
-    integral = float(np.trapezoid(h32**2, t)) if len(t) > 1 else 0.0
+    integral = float(np.trapezoid(h32**2, t))
     threshold = math.log(2.0) / c_const * min(nu, nu_prime)
     return BootstrapReport(
         integral=integral, threshold=threshold, ratio=integral / threshold

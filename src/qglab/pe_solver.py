@@ -287,8 +287,9 @@ def pe_run(grid, U0, params, t_end, dt, diag, *, extra_diag=None):
     to the 2/3 band and Leray-projected once; the steps keep it there and
     divergence-free, since the propagator maps solenoidal fields to
     solenoidal fields and N(U) is a projected, dealiased product, and the
-    ``max_div`` channel records how well. Mean-zero is
-    re-enforced after every step; the L2 norm is monitored for (flagged,
+    ``max_div`` channel records how well. The mean is zeroed once at entry
+    and stays exactly zero: the propagator maps the k=0 mode to zero and
+    N(U) is mean-zero. The L2 norm is monitored for (flagged,
     non-fatal) increase beyond roundoff, and the run aborts with
     :class:`BlowUpError` on non-finite values or an H^1 norm exceeding 1e6
     times its initial value.
@@ -321,9 +322,8 @@ def pe_run(grid, U0, params, t_end, dt, diag, *, extra_diag=None):
             values.update(extra_diag(step, t, dec))
         series.append(t, values)
         if diag.snapshot_every and step % diag.snapshot_every == 0:
-            if t <= diag.snapshot_t_max * (1 + 1e-12):
-                snapshot_times.append(t)
-                snapshots.append(state.copy())
+            snapshot_times.append(t)
+            snapshots.append(state.copy())
 
     record(0, 0.0, U)
 
@@ -333,7 +333,6 @@ def pe_run(grid, U0, params, t_end, dt, diag, *, extra_diag=None):
             U = pe_step(U, prop)
         except BlowUpError as err:
             raise BlowUpError(t, err.reason) from None
-        U = enforce_mean_zero(U)
 
         e_now = l2_norm(U)
         if e_now > e_prev * (1.0 + 1e-8) and energy_monotone:

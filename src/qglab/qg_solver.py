@@ -77,11 +77,11 @@ def qg_step(grid, omega, dt, params):
 
 @dataclass
 class QGRunRecord:
-    """Diagnostics and vorticity snapshots of one limit-system run.
+    """Diagnostics and optional vorticity snapshots of one limit-system run.
 
-    Vorticity snapshots are stored at the diagnostic cadence; the
-    velocity-form snapshots are exact multiplier reconstructions, available
-    through :meth:`u_snapshot`.
+    Vorticity snapshots are stored at the records that
+    ``diag.snapshot_every`` divides; the velocity-form snapshots are exact
+    multiplier reconstructions, available through :meth:`u_snapshot`.
     """
 
     grid: object
@@ -100,12 +100,16 @@ class QGRunRecord:
 def qg_run(grid, omega0, params, t_end, dt, diag):
     """Integrate the vorticity to t_end recording diagnostics.
 
-    omega0 is cut to the 2/3 band. The vorticity L2 norm must not grow; at
-    desk scale a triggered blow-up guard means a defect, not physics.
+    omega0 is cut to the 2/3 band. A vorticity copy is kept at each record
+    that ``diag.snapshot_every`` divides, as in ``pe_run``. The vorticity L2
+    norm must not grow; at desk scale a triggered blow-up guard means a
+    defect, not physics.
     """
     omega0 = np.asarray(omega0)
     grid.check_shape(omega0)
     n_steps = _step_count(t_end, dt)
+    if diag.snapshot_every and diag.snapshot_every % diag.cadence != 0:
+        raise ValueError("snapshot_every must be a multiple of the diag cadence")
 
     sym = qg_diffusion_symbol(grid, params.nu, params.nu_prime, params.froude)
     rhs = partial(_qg_rhs, grid, params=params)
@@ -116,7 +120,7 @@ def qg_run(grid, omega0, params, t_end, dt, diag):
     snapshot_times, omega_snapshots = [], []
     l2_initial = l2_norm(omega)
 
-    def record(t, om):
+    def record(step, t, om):
         U = biot_savart(grid, om, params.froude)
         values = {
             hs_channel("omega", 0.0): sobolev_norm(grid, om, 0.0),
@@ -125,21 +129,21 @@ def qg_run(grid, omega0, params, t_end, dt, diag):
         for s in diag.s_list:
             values[hs_channel("Uqg", s)] = sobolev_norm(grid, U, s)
         series.append(t, values)
-        snapshot_times.append(t)
-        omega_snapshots.append(om.copy())
+        if diag.snapshot_every and step % diag.snapshot_every == 0:
+            snapshot_times.append(t)
+            omega_snapshots.append(om.copy())
 
-    record(0.0, omega)
+    record(0, 0.0, omega)
 
     for step in range(1, n_steps + 1):
         t = step * dt
         omega = _lawson_rk4(omega, dt, rhs, ehalf)
-        omega = enforce_mean_zero(omega)
         if not np.isfinite(omega.view(np.float64)).all():
             raise BlowUpError(t, "non-finite vorticity")
         if l2_initial > 0 and l2_norm(omega) > 1e6 * l2_initial:
             raise BlowUpError(t, "vorticity L2 norm grew by 1e6")
         if step % diag.cadence == 0 or step == n_steps:
-            record(t, omega)
+            record(step, t, omega)
 
     return QGRunRecord(
         grid=grid,

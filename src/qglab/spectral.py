@@ -83,8 +83,8 @@ class Grid:
         n = int(n)
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 8, got {n}")
-        if box_length <= 0:
-            raise ValueError(f"box length must be positive, got {box_length}")
+        if not 0.0 < box_length < np.inf:
+            raise ValueError(f"box length must be positive and finite, got {box_length}")
         self.n = n
         self.box_length = float(box_length)
         nh = n // 2 + 1
@@ -157,10 +157,10 @@ class Params:
     froude: float = 1.0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.nu <= 0 or self.nu_prime <= 0:
-            raise ValueError("viscosities must be positive")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not (0.0 < self.nu < np.inf and 0.0 < self.nu_prime < np.inf):
+            raise ValueError("viscosities must be positive and finite")
         if not 0.0 < self.froude <= 1.0:
             raise ValueError(f"froude must lie in (0, 1], got {self.froude}")
 

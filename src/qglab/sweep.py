@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +33,10 @@ from .initial_data import make_well_prepared_data
 from .operators import potential_vorticity
 from .pe_solver import BlowUpError, _step_count, default_dt, pe_run
 from .qg_solver import qg_run
-from .spectral import Grid, Params, l2_norm
+from .spectral import Grid, l2_norm
 
 __all__ = ["SweepResult", "run_convergence_sweep", "fit_rate", "export",
-           "resolve_time", "params_from_config"]
+           "resolve_time"]
 
 log = logging.getLogger(__name__)
 
@@ -55,16 +55,6 @@ _QGDIFF_S = (0.5, 1.0, 1.5, 2.0)
 # H^s channels of the oscillating part read by the E^s metrics (s and s+1
 # for s in -1, 0, 1/2); diag.s_list must record each of them
 _OSC_S = (-1.0, 0.0, 0.5, 1.0, 1.5)
-
-
-def params_from_config(config, epsilon=None):
-    p = config.params
-    return Params(
-        epsilon=p.epsilon if epsilon is None else epsilon,
-        nu=p.nu,
-        nu_prime=p.nu_prime,
-        froude=p.froude,
-    )
 
 
 def resolve_time(config, grid, U0):
@@ -149,8 +139,8 @@ def run_convergence_sweep(config, *, progress=None):
 
     omega0 = potential_vorticity(grid, initial[epsilons[0]], froude)
     qg_record = qg_run(
-        grid, omega0, params_from_config(config), config.time.t_end, dt,
-        config.diag,
+        grid, omega0, config.params, config.time.t_end, dt,
+        replace(config.diag, snapshot_every=cadence),
     )
     qg_times = np.asarray(qg_record.snapshot_times)
 
@@ -171,7 +161,7 @@ def run_convergence_sweep(config, *, progress=None):
     for eps in epsilons:
         if progress is not None:
             progress(f"running epsilon={eps:g}")
-        params = params_from_config(config, epsilon=eps)
+        params = config.with_epsilon(eps).params
         try:
             record = pe_run(
                 grid, initial[eps], params, config.time.t_end, dt, config.diag,

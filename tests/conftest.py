@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from qglab import Grid, Params
+# One thread per BLAS/OpenMP pool, set before numpy loads them: under
+# concurrent load their default pools oversubscribe the cores, and the
+# batched small-matrix work of the propagator build slows a hundredfold.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from qglab import Grid, Params  # noqa: E402
 
 
 def half_index(n, idx):

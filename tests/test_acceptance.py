@@ -31,7 +31,7 @@ from qglab import (
 from qglab.checks import structure_defects, truncation_defects
 from qglab.config import default_config
 from qglab.pe_solver import _linear_symbols
-from qglab.sweep import params_from_config, run_convergence_sweep
+from qglab.sweep import run_convergence_sweep
 
 from conftest import half_index
 
@@ -60,12 +60,10 @@ def residual_records(grid):
     base resolution (dt=1e-3, spacing 10 dt) and with both halved."""
     cfg = default_config()
     U0 = make_well_prepared_data(grid, cfg)
-    params = params_from_config(cfg)
     records = {}
     for dt in (1e-3, 5e-4):
-        diag = dataclasses.replace(cfg.diag, snapshot_every=10,
-                                   snapshot_t_max=0.3)
-        records[dt] = pe_run(grid, U0, params, 0.3, dt, diag)
+        diag = dataclasses.replace(cfg.diag, snapshot_every=10)
+        records[dt] = pe_run(grid, U0, cfg.params, 0.3, dt, diag)
     return records
 
 
@@ -156,7 +154,7 @@ def test_criterion_2_linear_oracle():
 def test_criterion_3_solver_orders(grid):
     cfg = default_config()
     U0 = make_well_prepared_data(grid, cfg)
-    params = params_from_config(cfg)
+    params = cfg.params
     t_end = 0.1
     dts = (0.02, 0.01, 0.005)
 
@@ -188,7 +186,7 @@ def test_criterion_3_solver_orders(grid):
 
 
 def test_criterion_4_vorticity_residual(residual_records):
-    params = params_from_config(default_config())
+    params = default_config().params
     values = {
         dt: vorticity_residual(rec, params).channel("vorticity_residual")
         for dt, rec in residual_records.items()

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="grid.sizes"):
             parse_config_text("grid.sizes = 32")
 
+    @pytest.mark.parametrize("key", ["params.nu_min", "with_epsilon.x"])
+    def test_non_fields_are_unknown_keys(self, key):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            parse_config_text(f"{key} = 1")
+
+    def test_rendered_defaults_parse_back(self):
+        # every field must have a parser, so a new field without one fails
+        cfg = default_config()
+        lines = []
+        for section in fields(cfg):
+            for f in fields(getattr(cfg, section.name)):
+                value = getattr(getattr(cfg, section.name), f.name)
+                if isinstance(value, tuple):
+                    raw = ", ".join(repr(x) for x in value)
+                else:
+                    raw = "auto" if value is None else repr(value)
+                lines.append(f"{section.name}.{f.name} = {raw}")
+        assert len(lines) == 17
+        assert parse_config_text("\n".join(lines)) == cfg
+
+    def test_params_range_error_names_the_key(self):
+        with pytest.raises(ConfigError, match="params.nu_prime"):
+            parse_config_text("params.nu_prime = -1")
+
     def test_bad_value_type(self):
         with pytest.raises(ConfigError, match="grid.n"):
             parse_config_text("grid.n = large")
@@ -78,6 +103,15 @@ class TestConfigParsing:
             "diag.s_list = 0.5, 1",  # missing 0
             "init.spectrum_peak_k = 30",
             "time.t_end = -1",
+            "time.t_end = nan",
+            "time.t_end = inf",
+            "time.dt = nan",
+            "params.epsilon = inf",
+            "params.nu = nan",
+            "init.qg_amplitude = inf",
+            "grid.box_length = inf",
+            "sweep.epsilons = nan, 0.1",
+            "diag.s_list = -inf, 0, 1",
         ],
     )
     def test_range_validation(self, line):
@@ -104,6 +138,30 @@ class TestCLI:
         )
         assert code == 1
         assert "foo.bar" in capsys.readouterr().err
+
+    def test_bad_numbers_rejected_before_any_run(
+        self, config_path, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("pe_run called before the config was checked")
+
+        monkeypatch.setattr(qglab.cli, "pe_run", no_run)
+        cfg = default_config()
+        float_keys = [
+            f"{s.name}.{f.name}" for s in fields(cfg)
+            for f in fields(getattr(cfg, s.name)) if f.type != "int"
+        ]
+        assert len(float_keys) == 13
+        bad = [(key, raw) for key in float_keys for raw in ("nan", "inf", "-inf")]
+        bad.append(("params.froude", "1.5"))
+        for key, raw in bad:
+            code = cli_main(["run-pe", "--config", str(config_path),
+                             "--out", str(tmp_path / "out"),
+                             "--override", f"{key}={raw}"])
+            err = capsys.readouterr().err
+            assert code == 1, (key, raw)
+            assert err.startswith("error: ") and key in err, (key, raw, err)
+        assert not (tmp_path / "out").exists()
 
     def test_run_pe(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"

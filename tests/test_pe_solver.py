@@ -213,12 +213,11 @@ class TestPropagator:
             build_propagator(grid8, params, 0.0)
 
 
-def small_diag(cadence=10, snapshot_every=0, snapshot_t_max=np.inf):
+def small_diag(cadence=10, snapshot_every=0):
     return DiagConfig(
         s_list=(-1.0, 0.0, 0.5, 1.0, 1.5),
         cadence=cadence,
         snapshot_every=snapshot_every,
-        snapshot_t_max=snapshot_t_max,
     )
 
 
@@ -423,13 +422,6 @@ class TestPERun:
         with pytest.raises(ValueError):
             pe_run(grid8, U0, params, 0.1, 0.01, small_diag(snapshot_every=15))
 
-    def test_snapshot_window(self, grid8, params, rng):
-        U0 = random_state(grid8, rng)
-        rec = pe_run(grid8, U0, params, 0.2, 0.01,
-                     small_diag(snapshot_every=10, snapshot_t_max=0.1))
-        assert rec.snapshot_times == pytest.approx([0.0, 0.1])
-        assert len(rec.snapshots) == 2
-
     def test_default_dt_policy(self, grid16, rng):
         U0 = random_state(grid16, rng)
         dt = default_dt(grid16, U0, t_end=1.0)
@@ -448,7 +440,7 @@ class TestVorticityResidualOnRuns:
         U0 *= 0.5 / sobolev_norm(grid16, U0, 1.0)
         values = {}
         for dt in (2e-3, 1e-3):
-            diag = small_diag(cadence=10, snapshot_every=10, snapshot_t_max=0.2)
+            diag = small_diag(cadence=10, snapshot_every=10)
             rec = pe_run(grid16, U0, p, 0.2, dt, diag)
             values[dt] = vorticity_residual(rec, p).channel("vorticity_residual")
         assert values[2e-3].max() <= 1e-2
@@ -464,7 +456,7 @@ class TestVorticityResidualOnRuns:
         p = Params(epsilon=0.1, nu=8e-3, nu_prime=8e-3)
         U0 = project_qg(grid16, random_state(grid16, rng))
         U0 *= 0.5 / sobolev_norm(grid16, U0, 1.0)
-        diag = small_diag(cadence=10, snapshot_every=10, snapshot_t_max=0.2)
+        diag = small_diag(cadence=10, snapshot_every=10)
         rec = pe_run(grid16, U0, p, 0.2, 1e-3, diag)
         vals = vorticity_residual(rec, p).channel("vorticity_residual")
         assert vals.max() <= 1e-3

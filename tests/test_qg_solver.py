@@ -23,8 +23,9 @@ from qglab import (
 from qglab.config import DiagConfig
 
 
-def diag(cadence=10):
-    return DiagConfig(s_list=(-1.0, 0.0, 0.5, 1.0, 1.5), cadence=cadence)
+def diag(cadence=10, snapshot_every=0):
+    return DiagConfig(s_list=(-1.0, 0.0, 0.5, 1.0, 1.5), cadence=cadence,
+                      snapshot_every=snapshot_every)
 
 
 def full_band_vorticity(grid):
@@ -145,11 +146,21 @@ class TestQGRun:
 
     def test_velocity_snapshots_reconstruct(self, grid16, rng, params):
         om0 = random_scalar(grid16, rng)
-        rec = qg_run(grid16, om0, params, 0.1, 0.01, diag())
+        rec = qg_run(grid16, om0, params, 0.1, 0.01, diag(snapshot_every=10))
         for i in (0, len(rec.omega_snapshots) - 1):
             U = rec.u_snapshot(i)
             back = potential_vorticity(grid16, U, params.froude)
             assert l2_norm(back - rec.omega_snapshots[i]) <= 1e-12 * l2_norm(back)
+
+    def test_default_diag_keeps_no_snapshot(self, grid16, rng, params):
+        rec = qg_run(grid16, random_scalar(grid16, rng), params, 0.1, 0.01, diag())
+        assert rec.snapshot_times == [] and rec.omega_snapshots == []
+        assert len(rec.series) == 2
+
+    def test_snapshot_cadence_must_align(self, grid16, rng, params):
+        with pytest.raises(ValueError, match="snapshot_every"):
+            qg_run(grid16, random_scalar(grid16, rng), params, 0.1, 0.01,
+                   diag(snapshot_every=15))
 
     def test_self_convergence_order_four(self, grid16, rng):
         p = Params(epsilon=0.1, nu=1e-2, nu_prime=5e-3)

@@ -29,6 +29,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(n)
 
+    @pytest.mark.parametrize("box_length", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_box_lengths(self, box_length):
+        with pytest.raises(ValueError):
+            Grid(8, box_length)
+
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_wavevector_tables(self, n):
         g = Grid(n)
@@ -60,6 +65,12 @@ class TestParams:
             Params(epsilon=0.1, nu=-1e-2, nu_prime=1e-2)
         with pytest.raises(ValueError):
             Params(epsilon=0.1, nu=1e-2, nu_prime=1e-2, froude=1.5)
+        for bad in (np.nan, np.inf):
+            for name in ("epsilon", "nu", "nu_prime", "froude"):
+                kwargs = dict(epsilon=0.1, nu=1e-2, nu_prime=1e-2, froude=1.0)
+                kwargs[name] = bad
+                with pytest.raises(ValueError):
+                    Params(**kwargs)
         p = Params(epsilon=0.1, nu=1e-2, nu_prime=5e-3)
         assert p.nu_min == 5e-3 and p.nu_max == 1e-2
 
