@@ -24,7 +24,7 @@ import numpy as np
 
 from .checks import run_all
 from .config import ConfigError, apply_overrides, load_config
-from .diagnostics import smallness_condition, sobolev_norm
+from .diagnostics import S_LIST, energy_check, smallness_condition, sobolev_norm
 from .initial_data import make_well_prepared_data
 from .operators import decompose, potential_vorticity
 from .pe_solver import BlowUpError, pe_run
@@ -87,9 +87,8 @@ def _cmd_run_pe(args):
     out.mkdir(parents=True, exist_ok=True)
     path = out / "pe_series.csv"
     record.series.to_csv(path)
-    flag = "ok" if record.energy_monotone else (
-        f"ENERGY NOT MONOTONE at t={record.energy_violation_time:g}"
-    )
+    report = energy_check(record.series, cfg.params.nu, cfg.params.nu_prime)
+    flag = "ok" if report.passed else f"FAILED at t={report.first_violation_time:g}"
     print(f"energy: {flag}")
     print(f"wrote {path}")
     return 0
@@ -138,7 +137,7 @@ def _cmd_decompose(args):
     with open(norms_path, "w", encoding="utf-8") as fh:
         fh.write("field,s,norm\n")
         for label, field in (("U", U0), ("U_qg", parts.qg), ("U_osc", parts.osc)):
-            for s in (-1.0, 0.0, 0.5, 1.0, 1.5):
+            for s in S_LIST:
                 fh.write(f"{label},{s:g},{sobolev_norm(grid, field, s):.17g}\n")
     for name in ("initial_qg.npy", "initial_osc.npy", "initial_norms.csv"):
         print(f"wrote {out / name}")

@@ -5,8 +5,8 @@ comments and blank lines ignored. The dataclasses below declare every key,
 ``section.field``, and each field's annotation picks its parser; the params
 section is :class:`qglab.spectral.Params`. Unknown keys are errors. Every
 field has a default matching the standard desk-scale scenario, so an empty
-file is a valid config. Lists (diag.s_list, sweep.epsilons) are
-comma-separated. Numbers must be finite: ``nan`` and ``inf`` are rejected.
+file is a valid config. The list sweep.epsilons is comma-separated. Numbers
+must be finite: ``nan`` and ``inf`` are rejected.
 
 Documented ranges:
 
@@ -19,7 +19,6 @@ Documented ranges:
 * init.osc_amplitude >= 0 (well-prepared coefficient c: the oscillating
   part is scaled to H^-1 norm c * epsilon)
 * init.osc_extra_smoothness >= 0
-* diag.s_list: values in [-2, 2], must contain 0 and 1
 * diag.cadence: positive steps; diag.snapshot_every: 0 (off) or a positive
   multiple of cadence, for the full and the limit run alike
 * sweep.epsilons: strictly decreasing positive values
@@ -74,7 +73,6 @@ class InitConfig:
 
 @dataclass
 class DiagConfig:
-    s_list: tuple = (-1.0, 0.0, 0.5, 1.0, 1.5)
     cadence: int = 10
     snapshot_every: int = 0
 
@@ -208,12 +206,6 @@ def validate_config(cfg):
         )
     if i.qg_amplitude < 0 or i.osc_amplitude < 0 or i.osc_extra_smoothness < 0:
         raise ConfigError("init amplitudes and smoothness must be non-negative")
-    if not d.s_list:
-        raise ConfigError("diag.s_list must not be empty")
-    if any(not -2.0 <= x <= 2.0 for x in d.s_list):
-        raise ConfigError("diag.s_list values must lie in [-2, 2]")
-    if 0.0 not in d.s_list or 1.0 not in d.s_list:
-        raise ConfigError("diag.s_list must contain 0 and 1 (energy checks)")
     if d.cadence < 1:
         raise ConfigError("diag.cadence must be a positive step count")
     if d.snapshot_every < 0 or (d.snapshot_every and d.snapshot_every % d.cadence):

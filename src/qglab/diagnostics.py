@@ -54,6 +54,7 @@ from .operators import (
 from .spectral import advect_scalar, derivative, l2_norm
 
 __all__ = [
+    "S_LIST",
     "NormSeries",
     "hs_channel",
     "sobolev_norm",
@@ -71,6 +72,9 @@ __all__ = [
     "EnergyReport",
     "energy_check",
 ]
+
+# every run's H^s channels: the E^s metrics read s and s+1 for s = -1, 0, 1/2
+S_LIST = (-1.0, 0.0, 0.5, 1.0, 1.5)
 
 MONO_TOL = 1e-8  # energy_check: relative L2 rise allowed between records
 BUDGET_SLACK = 1e-6  # energy_check: relative slack on the dissipation budget

@@ -41,7 +41,7 @@ from functools import partial
 import numpy as np
 import scipy.linalg
 
-from .diagnostics import NormSeries, hs_channel, sobolev_norm
+from .diagnostics import S_LIST, NormSeries, hs_channel, sobolev_norm
 from .config import ConfigError
 from .operators import decompose
 from .spectral import (
@@ -51,7 +51,6 @@ from .spectral import (
     dealias,
     enforce_mean_zero,
     from_spectral,
-    l2_norm,
     leray_project,
     max_divergence,
     spectral_product,
@@ -63,7 +62,7 @@ __all__ = [
     "build_propagator",
     "pe_step",
     "pe_run",
-    "PERunRecord",
+    "RunRecord",
     "default_dt",
 ]
 
@@ -244,8 +243,8 @@ def pe_step(U, prop, *, nonlinear=True):
 
 
 @dataclass
-class PERunRecord:
-    """Diagnostics and optional state snapshots of one run."""
+class RunRecord:
+    """Diagnostics, snapshots and final state of a run (vorticities: qg_run)."""
 
     grid: object
     params: object
@@ -254,8 +253,6 @@ class PERunRecord:
     snapshot_times: list
     snapshots: list
     final_state: np.ndarray
-    energy_monotone: bool
-    energy_violation_time: float | None
 
 
 def default_dt(grid, U0, t_end):
@@ -279,82 +276,74 @@ def _step_count(t_end, dt):
     return n_steps
 
 
-def pe_run(grid, U0, params, t_end, dt, diag, *, extra_diag=None):
-    """Integrate to t_end recording diagnostics.
-
-    ``diag`` supplies the H^s lists and cadences; ``extra_diag(step, t, dec)``
-    adds channels from each record's :class:`Decomposition`. U0 is cut
-    to the 2/3 band and Leray-projected once; the steps keep it there and
-    divergence-free, since the propagator maps solenoidal fields to
-    solenoidal fields and N(U) is a projected, dealiased product, and the
-    ``max_div`` channel records how well. The mean is zeroed once at entry
-    and stays exactly zero: the propagator maps the k=0 mode to zero and
-    N(U) is mean-zero. The L2 norm is monitored for (flagged,
-    non-fatal) increase beyond roundoff, and the run aborts with
-    :class:`BlowUpError` on non-finite values or an H^1 norm exceeding 1e6
-    times its initial value.
-    """
-    U0 = np.asarray(U0)
-    grid.check_shape(U0, 4)
+def _run(grid, params, t_end, dt, diag, state0, *, cut, make_step, guard,
+         channels):
+    """The loop of :func:`pe_run` and ``qg_solver.qg_run``: checks the step
+    count and snapshot cadence, builds ``make_step()``, then steps
+    ``cut(state0)``, which no other frame holds. It records ``channels(step,
+    t, state)`` at step 0, every ``diag.cadence`` steps and the end, with a
+    state copy where ``diag.snapshot_every`` divides the step, and raises
+    BlowUpError at the step's time when ``guard = (name, norm)`` leaves 1e6
+    times its start (nan and inf do) or the step raises one."""
     n_steps = _step_count(t_end, dt)
     if diag.snapshot_every and diag.snapshot_every % diag.cadence != 0:
         raise ValueError("snapshot_every must be a multiple of the diag cadence")
-
-    prop = build_propagator(grid, params, dt)
-    U = enforce_mean_zero(leray_project(grid, dealias(grid, U0.astype(complex))))
-
+    step = make_step()
+    state = cut(state0)
+    name, norm = guard
+    limit = 1e6 * norm(state)
     series = NormSeries()
     snapshot_times, snapshots = [], []
-    energy_monotone = True
-    violation_time = None
+    for i in range(n_steps + 1):
+        t = i * dt
+        if i > 0:
+            try:
+                state = step(state)
+            except BlowUpError as err:
+                raise BlowUpError(t, err.reason) from None
+            size = norm(state)
+            if not size <= limit:
+                raise BlowUpError(t, f"{name} grew to {size:.3g}")
+        if i % diag.cadence == 0 or i == n_steps:
+            series.append(t, channels(i, t, state))
+            if diag.snapshot_every and i % diag.snapshot_every == 0:
+                snapshot_times.append(t)
+                snapshots.append(state.copy())
+    return RunRecord(grid, params, dt, series, snapshot_times, snapshots, state)
 
-    h1_initial = sobolev_norm(grid, U, 1.0)
-    e_prev = l2_norm(U)
 
-    def record(step, t, state):
+def pe_run(grid, U0, params, t_end, dt, diag, *, extra_diag=None):
+    """Integrate to t_end recording diagnostics; returns a :class:`RunRecord`.
+
+    Each record holds the H^s norms of U and of its oscillating part for s in
+    ``diagnostics.S_LIST`` and ``max_div``; ``extra_diag(step, t, dec)`` adds
+    channels from its :class:`Decomposition`. U0 is cut to the 2/3 band and
+    Leray-projected once; the steps keep it there and divergence-free, since
+    the propagator maps solenoidal fields to solenoidal fields and N(U) is a
+    projected, dealiased product, and ``max_div`` records how well. The mean
+    is zeroed once at entry and stays exactly zero: the propagator maps the
+    k=0 mode to zero and N(U) is mean-zero. A non-finite state or an H^1
+    norm beyond 1e6 times its initial value raises :class:`BlowUpError`.
+    """
+    U0 = np.asarray(U0)
+    grid.check_shape(U0, 4)
+
+    def channels(step, t, U):
         values = {}
-        dec = decompose(grid, state, params.froude)
-        for s in diag.s_list:
-            values[hs_channel("U", s)] = sobolev_norm(grid, state, s)
+        dec = decompose(grid, U, params.froude)
+        for s in S_LIST:
+            values[hs_channel("U", s)] = sobolev_norm(grid, U, s)
             values[hs_channel("Uosc", s)] = sobolev_norm(grid, dec.osc, s)
-        values["max_div"] = max_divergence(grid, state)
+        values["max_div"] = max_divergence(grid, U)
         if extra_diag is not None:
             values.update(extra_diag(step, t, dec))
-        series.append(t, values)
-        if diag.snapshot_every and step % diag.snapshot_every == 0:
-            snapshot_times.append(t)
-            snapshots.append(state.copy())
+        return values
 
-    record(0, 0.0, U)
-
-    for step in range(1, n_steps + 1):
-        t = step * dt
-        try:
-            U = pe_step(U, prop)
-        except BlowUpError as err:
-            raise BlowUpError(t, err.reason) from None
-
-        e_now = l2_norm(U)
-        if e_now > e_prev * (1.0 + 1e-8) and energy_monotone:
-            energy_monotone = False
-            violation_time = t
-        e_prev = e_now
-
-        h1_now = sobolev_norm(grid, U, 1.0)
-        if h1_initial > 0 and h1_now > 1e6 * h1_initial:
-            raise BlowUpError(t, f"H^1 norm grew to {h1_now:.3g}")
-
-        if step % diag.cadence == 0 or step == n_steps:
-            record(step, t, U)
-
-    return PERunRecord(
-        grid=grid,
-        params=params,
-        dt=dt,
-        series=series,
-        snapshot_times=snapshot_times,
-        snapshots=snapshots,
-        final_state=U,
-        energy_monotone=energy_monotone,
-        energy_violation_time=violation_time,
+    return _run(
+        grid, params, t_end, dt, diag, U0,
+        cut=lambda U: enforce_mean_zero(
+            leray_project(grid, dealias(grid, U.astype(complex)))),
+        make_step=lambda: partial(pe_step, prop=build_propagator(grid, params, dt)),
+        guard=("H^1 norm", partial(sobolev_norm, grid, s=1.0)),
+        channels=channels,
     )

@@ -20,14 +20,13 @@ field with modes outside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .diagnostics import NormSeries, hs_channel, sobolev_norm
+from .diagnostics import S_LIST, hs_channel, sobolev_norm
 from .operators import biot_savart, qg_diffusion_symbol
-from .pe_solver import BlowUpError, _lawson_rk4, _step_count
+from .pe_solver import _lawson_rk4, _run
 from .spectral import (
     _band_to_physical,
     _require_band,
@@ -38,7 +37,7 @@ from .spectral import (
     spectral_product,
 )
 
-__all__ = ["qg_rhs", "qg_step", "qg_run", "QGRunRecord"]
+__all__ = ["qg_rhs", "qg_step", "qg_run"]
 
 
 def qg_rhs(grid, omega, params):
@@ -65,40 +64,23 @@ def _qg_rhs(grid, omega, params):
     return spectral_product(grid, np.negative(prod, out=prod))
 
 
+def _qg_stepper(grid, dt, params):
+    """qg_step without its checks, as a function of the vorticity."""
+    sym = qg_diffusion_symbol(grid, params.nu, params.nu_prime, params.froude)
+    return partial(_lawson_rk4, h=dt, rhs=partial(_qg_rhs, grid, params=params),
+                   expo_half=partial(np.multiply, np.exp(0.5 * dt * sym)))
+
+
 def qg_step(grid, omega, dt, params):
     """One integrating-factor RK4 step with the exact diffusion factor, of a
     vorticity on the 2/3 band; ValueError otherwise."""
     grid.check_shape(omega)
     _require_band(grid, omega, "qg_step")
-    sym = qg_diffusion_symbol(grid, params.nu, params.nu_prime, params.froude)
-    return _lawson_rk4(omega, dt, partial(_qg_rhs, grid, params=params),
-                       partial(np.multiply, np.exp(0.5 * dt * sym)))
-
-
-@dataclass
-class QGRunRecord:
-    """Diagnostics and optional vorticity snapshots of one limit-system run.
-
-    Vorticity snapshots are stored at the records that
-    ``diag.snapshot_every`` divides; the velocity-form snapshots are exact
-    multiplier reconstructions, available through :meth:`u_snapshot`.
-    """
-
-    grid: object
-    params: object
-    dt: float
-    series: NormSeries
-    snapshot_times: list
-    omega_snapshots: list
-    final_omega: np.ndarray
-
-    def u_snapshot(self, i):
-        return biot_savart(self.grid, self.omega_snapshots[i],
-                           self.params.froude)
+    return _qg_stepper(grid, dt, params)(omega)
 
 
 def qg_run(grid, omega0, params, t_end, dt, diag):
-    """Integrate the vorticity to t_end recording diagnostics.
+    """Integrate the vorticity to t_end into a ``pe_solver.RunRecord``.
 
     omega0 is cut to the 2/3 band. A vorticity copy is kept at each record
     that ``diag.snapshot_every`` divides, as in ``pe_run``. The vorticity L2
@@ -107,50 +89,21 @@ def qg_run(grid, omega0, params, t_end, dt, diag):
     """
     omega0 = np.asarray(omega0)
     grid.check_shape(omega0)
-    n_steps = _step_count(t_end, dt)
-    if diag.snapshot_every and diag.snapshot_every % diag.cadence != 0:
-        raise ValueError("snapshot_every must be a multiple of the diag cadence")
 
-    sym = qg_diffusion_symbol(grid, params.nu, params.nu_prime, params.froude)
-    rhs = partial(_qg_rhs, grid, params=params)
-    ehalf = partial(np.multiply, np.exp(0.5 * dt * sym))
-
-    omega = enforce_mean_zero(dealias(grid, omega0.astype(np.complex128)))
-    series = NormSeries()
-    snapshot_times, omega_snapshots = [], []
-    l2_initial = l2_norm(omega)
-
-    def record(step, t, om):
+    def channels(step, t, om):
         U = biot_savart(grid, om, params.froude)
         values = {
             hs_channel("omega", 0.0): sobolev_norm(grid, om, 0.0),
             hs_channel("omega", 1.0): sobolev_norm(grid, om, 1.0),
         }
-        for s in diag.s_list:
+        for s in S_LIST:
             values[hs_channel("Uqg", s)] = sobolev_norm(grid, U, s)
-        series.append(t, values)
-        if diag.snapshot_every and step % diag.snapshot_every == 0:
-            snapshot_times.append(t)
-            omega_snapshots.append(om.copy())
+        return values
 
-    record(0, 0.0, omega)
-
-    for step in range(1, n_steps + 1):
-        t = step * dt
-        omega = _lawson_rk4(omega, dt, rhs, ehalf)
-        if not np.isfinite(omega.view(np.float64)).all():
-            raise BlowUpError(t, "non-finite vorticity")
-        if l2_initial > 0 and l2_norm(omega) > 1e6 * l2_initial:
-            raise BlowUpError(t, "vorticity L2 norm grew by 1e6")
-        if step % diag.cadence == 0 or step == n_steps:
-            record(step, t, omega)
-
-    return QGRunRecord(
-        grid=grid,
-        params=params,
-        dt=dt,
-        series=series,
-        snapshot_times=snapshot_times,
-        omega_snapshots=omega_snapshots,
-        final_omega=omega,
+    return _run(
+        grid, params, t_end, dt, diag, omega0,
+        cut=lambda om: enforce_mean_zero(dealias(grid, om.astype(np.complex128))),
+        make_step=lambda: _qg_stepper(grid, dt, params),
+        guard=("vorticity L2 norm", l2_norm),
+        channels=channels,
     )

@@ -168,7 +168,7 @@ def test_criterion_3_solver_orders(grid):
     )
 
     omega0 = potential_vorticity(grid, U0)
-    qg_finals = {dt: qg_run(grid, omega0, params, t_end, dt, cfg.diag).final_omega
+    qg_finals = {dt: qg_run(grid, omega0, params, t_end, dt, cfg.diag).final_state
                  for dt in dts}
     qg_order = float(
         np.log2(

@@ -76,7 +76,7 @@ class TestConfigParsing:
                 else:
                     raw = "auto" if value is None else repr(value)
                 lines.append(f"{section.name}.{f.name} = {raw}")
-        assert len(lines) == 17
+        assert len(lines) == 16
         assert parse_config_text("\n".join(lines)) == cfg
 
     def test_params_range_error_names_the_key(self):
@@ -100,7 +100,6 @@ class TestConfigParsing:
             "sweep.epsilons = 0.01, 0.1",  # not decreasing
             "sweep.epsilons = 0.1, -0.05",
             "diag.cadence = 0",
-            "diag.s_list = 0.5, 1",  # missing 0
             "init.spectrum_peak_k = 30",
             "time.t_end = -1",
             "time.t_end = nan",
@@ -111,7 +110,6 @@ class TestConfigParsing:
             "init.qg_amplitude = inf",
             "grid.box_length = inf",
             "sweep.epsilons = nan, 0.1",
-            "diag.s_list = -inf, 0, 1",
         ],
     )
     def test_range_validation(self, line):
@@ -151,9 +149,12 @@ class TestCLI:
             f"{s.name}.{f.name}" for s in fields(cfg)
             for f in fields(getattr(cfg, s.name)) if f.type != "int"
         ]
-        assert len(float_keys) == 13
+        assert len(float_keys) == 12
         bad = [(key, raw) for key in float_keys for raw in ("nan", "inf", "-inf")]
         bad.append(("params.froude", "1.5"))
+        # finite, but the initial data vanish or overflow
+        bad += [("grid.box_length", "1e300"), ("grid.box_length", "1e-300"),
+                ("init.qg_amplitude", "1e300"), ("init.osc_amplitude", "1e300")]
         for key, raw in bad:
             code = cli_main(["run-pe", "--config", str(config_path),
                              "--out", str(tmp_path / "out"),
@@ -170,6 +171,7 @@ class TestCLI:
         series = NormSeries.from_csv(out / "pe_series.csv")
         assert len(series) > 1
         assert "hs_Uosc_1.5" in series.channels
+        assert "energy: ok" in capsys.readouterr().out
 
     def test_run_qg(self, config_path, tmp_path):
         out = tmp_path / "out"
@@ -187,19 +189,15 @@ class TestCLI:
         assert (out / "sweep.gp").exists()
         assert "slope" in capsys.readouterr().out
 
-    def test_sweep_rejects_s_list_missing_metric_channels(
-        self, config_path, tmp_path, capsys, monkeypatch
-    ):
-        def no_run(*args, **kwargs):
-            raise AssertionError("pe_run called before the config was checked")
-
-        monkeypatch.setattr(qglab.sweep, "pe_run", no_run)
+    def test_s_list_is_an_unknown_key(self, tmp_path, capsys):
+        # the H^s channels are fixed (diagnostics.S_LIST), so a config that
+        # still sets the old key is rejected, not silently ignored
+        path = tmp_path / "old.cfg"
+        path.write_text(TINY_CONFIG + "diag.s_list = -1, 0, 0.5, 1, 1.5\n")
         out = tmp_path / "out"
-        code = cli_main(["sweep", "--config", str(config_path), "--out", str(out),
-                         "--override", "diag.s_list = 0, 1"])
+        code = cli_main(["sweep", "--config", str(path), "--out", str(out)])
         assert code == 1
-        err = capsys.readouterr().err
-        assert "diag.s_list" in err and "-1, 0.5, 1.5" in err
+        assert "unknown config key 'diag.s_list'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_python_m_cli_help(self):

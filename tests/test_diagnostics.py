@@ -271,7 +271,7 @@ class TestEnergyCheck:
 
         p = Params(epsilon=0.1, nu=1e-2, nu_prime=5e-3)
         U0 = random_state(grid16, rng)
-        diag = DiagConfig(s_list=(-1.0, 0.0, 0.5, 1.0, 1.5), cadence=5)
+        diag = DiagConfig(cadence=5)
         rec = pe_run(grid16, U0, p, 0.2, 0.005, diag)
         e = rec.series.channel(hs_channel("U", 0.0))
         assert np.all(np.diff(e) < 0.0)

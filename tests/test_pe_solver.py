@@ -1,4 +1,7 @@
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -20,14 +23,16 @@ from qglab import (
     max_divergence,
     pe_run,
     pe_step,
+    potential_vorticity,
     project_osc,
     project_qg,
+    qg_run,
     random_state,
     sobolev_norm,
     to_spectral,
     vorticity_residual,
 )
-from qglab.config import DiagConfig
+from qglab.config import ConfigError, DiagConfig
 from qglab.pe_solver import (
     LinearPropagator,
     _linear_symbols,
@@ -214,11 +219,7 @@ class TestPropagator:
 
 
 def small_diag(cadence=10, snapshot_every=0):
-    return DiagConfig(
-        s_list=(-1.0, 0.0, 0.5, 1.0, 1.5),
-        cadence=cadence,
-        snapshot_every=snapshot_every,
-    )
+    return DiagConfig(cadence=cadence, snapshot_every=snapshot_every)
 
 
 class TestNonlinear:
@@ -365,14 +366,13 @@ class TestPERun:
         osc = project_osc(g, rec.final_state)
         assert l2_norm(osc) <= 1e-8 * l2_norm(rec.final_state)
         limit = qg_run(g, potential_vorticity(g, U0), p, 0.5, 0.005, small_diag())
-        gap = l2_norm(potential_vorticity(g, rec.final_state) - limit.final_omega)
-        assert gap <= 1e-8 * l2_norm(limit.final_omega)
+        gap = l2_norm(potential_vorticity(g, rec.final_state) - limit.final_state)
+        assert gap <= 1e-8 * l2_norm(limit.final_state)
 
     def test_energy_inequality_and_monotonicity(self, grid16, rng, params):
         U0 = random_state(grid16, rng)
         U0 *= 0.5 / sobolev_norm(grid16, U0, 1.0)
         rec = pe_run(grid16, U0, params, 0.5, 0.005, small_diag())
-        assert rec.energy_monotone
         report = energy_check(rec.series, params.nu, params.nu_prime)
         assert report.passed
         assert report.max_budget_ratio <= 1.0 + 1e-6
@@ -409,8 +409,11 @@ class TestPERun:
         rng = np.random.default_rng(7)
         U0 = 1e8 * random_state(grid8, rng)
         p = Params(epsilon=1e-2, nu=INVISCID, nu_prime=INVISCID)
-        with pytest.raises(BlowUpError):
+        with pytest.raises(BlowUpError) as info:
             pe_run(grid8, U0, p, 1.0, 0.01, small_diag())
+        # stamped with the time of the step that failed
+        steps = round(info.value.time / 0.01)
+        assert steps >= 1 and info.value.time == steps * 0.01
 
     def test_rejects_time_grid_mismatch(self, grid8, params, rng):
         U0 = random_state(grid8, rng)
@@ -421,6 +424,45 @@ class TestPERun:
         U0 = random_state(grid8, rng)
         with pytest.raises(ValueError):
             pe_run(grid8, U0, params, 0.1, 0.01, small_diag(snapshot_every=15))
+
+    def test_arguments_checked_before_the_build(self, grid8, params, rng,
+                                                monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("propagator built before the arguments were checked")
+
+        monkeypatch.setattr(qglab.pe_solver, "build_propagator", no_build)
+        U0 = random_state(grid8, rng)
+        with pytest.raises(ConfigError, match="does not divide"):
+            pe_run(grid8, U0, params, 0.1, 0.03, small_diag())
+        with pytest.raises(ValueError, match="snapshot_every"):
+            pe_run(grid8, U0, params, 0.1, 0.01, small_diag(snapshot_every=15))
+
+    @pytest.mark.parametrize("system", ["pe", "qg"])
+    def test_initial_state_freed_after_the_first_step(self, grid8, params, rng,
+                                                      monkeypatch, system):
+        # the run loop must hold the only reference to the state it cut, so a
+        # large run carries no extra state for its whole length
+        module, attr = {"pe": (qglab.pe_solver, "pe_step"),
+                        "qg": (qglab.qg_solver, "_lawson_rk4")}[system]
+        original = getattr(module, attr)
+        first, alive_at_step_2 = [], []
+
+        def wrapper(state, *args, **kwargs):
+            if not first:
+                first.append(weakref.ref(state))
+            elif not alive_at_step_2:
+                gc.collect()
+                alive_at_step_2.append(first[0]() is not None)
+            return original(state, *args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapper)
+        diag = small_diag(cadence=1, snapshot_every=1)
+        U0 = random_state(grid8, rng)
+        if system == "pe":
+            pe_run(grid8, U0, params, 0.03, 0.01, diag)
+        else:
+            qg_run(grid8, potential_vorticity(grid8, U0), params, 0.03, 0.01, diag)
+        assert alive_at_step_2 == [False]
 
     def test_default_dt_policy(self, grid16, rng):
         U0 = random_state(grid16, rng)
