@@ -41,7 +41,6 @@ from .pe_solver import (
     BlowUpError,
     LinearPropagator,
     build_propagator,
-    default_dt,
     pe_run,
     pe_step,
 )

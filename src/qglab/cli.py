@@ -17,13 +17,14 @@ Exit codes: 0 success, 1 validation error, 2 runtime blow-up, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .checks import run_all
-from .config import ConfigError, apply_overrides, load_config
+from .config import ConfigError, _read_text, parse_config_text
 from .diagnostics import S_LIST, energy_check, smallness_condition, sobolev_norm
 from .initial_data import make_well_prepared_data
 from .operators import decompose, potential_vorticity
@@ -60,15 +61,13 @@ def _build_parser():
         if name != "check-conditions":
             p.add_argument("--out", default="./out", help="output directory")
         p.add_argument("--override", action="append", default=[],
-                       metavar="KEY=VALUE", help="config override (repeatable)")
+                       metavar="KEY=VALUE", help="extra config line (repeatable)")
     sub.add_parser("check-invariants", help="structural property suite")
     return parser
 
 
 def _load(args):
-    cfg = load_config(args.config)
-    apply_overrides(cfg, args.override)
-    return cfg
+    return parse_config_text("\n".join([_read_text(args.config), *args.override]))
 
 
 def _setup(cfg):
@@ -110,7 +109,7 @@ def _cmd_run_qg(args):
 
 def _cmd_sweep(args):
     cfg = _load(args)
-    result = run_convergence_sweep(cfg, progress=print)
+    result = run_convergence_sweep(cfg)
     paths = export(result, args.out)
     print(f"{'eps':>10} " + " ".join(f"{m:>18}" for m in METRIC_NAMES))
     for i, eps in enumerate(result.epsilons):
@@ -179,6 +178,8 @@ _COMMANDS = {
 
 
 def cli_main(argv=None):
+    logging.basicConfig(format="%(message)s")
+    logging.getLogger("qglab").setLevel(logging.INFO)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -10,9 +10,10 @@ must be finite: ``nan`` and ``inf`` are rejected.
 
 Documented ranges:
 
-* grid.n: power of two, 8 .. 256; grid.box_length > 0
+* grid.n: power of two, 8 .. 256; grid.box_length > 0, with |xi|^(2s) a finite
+  nonzero float for s in ``diagnostics.S_LIST`` at |xi| = 2 pi/L and sqrt(3) pi n/L
 * params.*: positive; params.froude in (0, 1] (checked by ``Params``)
-* time.dt: positive, or ``auto`` for min(0.5 dx / max|v0|, t_end/1000)
+* time.dt: positive, tiling t_end in whole diag.cadence periods, or ``auto``
 * time.t_end > 0
 * init.seed: non-negative integer; init.spectrum_peak_k in [1, n/3)
 * init.qg_amplitude >= 0 (target H^1 norm of the balanced part)
@@ -28,7 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
+import numpy as np
+
+from .diagnostics import S_LIST
 from .spectral import Params
 
 __all__ = [
@@ -42,7 +47,6 @@ __all__ = [
     "default_config",
     "parse_config_text",
     "load_config",
-    "apply_overrides",
 ]
 
 
@@ -168,32 +172,37 @@ def parse_config_text(text):
     return cfg
 
 
-def load_config(path):
+def _read_text(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
-    return parse_config_text(text)
 
 
-def apply_overrides(cfg, overrides):
-    """Apply repeatable ``key=value`` strings on top of a config."""
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not of the form key=value")
-        key, raw = (part.strip() for part in item.split("=", 1))
-        _set_key(cfg, key, raw)
-    validate_config(cfg)
-    return cfg
+def load_config(path):
+    return parse_config_text(_read_text(path))
+
+
+def _step_count(t_end, dt):
+    """Number of steps of size dt in t_end; ConfigError unless it is whole."""
+    n_steps = int(round(t_end / dt)) if t_end / dt < math.inf else 0
+    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-8 * max(t_end, dt):
+        raise ConfigError(f"dt={dt} does not divide t_end={t_end}")
+    return n_steps
 
 
 def validate_config(cfg):
+    """The config-level rules, checked before any grid or data are built."""
     g, t, i, d, s = cfg.grid, cfg.time, cfg.init, cfg.diag, cfg.sweep
     if g.n < 8 or g.n > 256 or (g.n & (g.n - 1)) != 0:
         raise ConfigError(f"grid.n must be a power of two in [8, 256], got {g.n}")
     if g.box_length <= 0:
         raise ConfigError("grid.box_length must be positive")
+    with np.errstate(all="ignore"):
+        xi = np.array([2.0, math.sqrt(3.0) * g.n]) * math.pi / g.box_length
+        weights = np.power.outer(xi, 2.0 * np.array(S_LIST))
+    if not np.all((weights > 0) & (weights < np.inf)):
+        raise ConfigError(f"grid.box_length={g.box_length:g}: |xi|^(2s) out of range")
     if t.dt is not None and t.dt <= 0:
         raise ConfigError("time.dt must be positive or auto")
     if t.t_end <= 0:
@@ -210,6 +219,8 @@ def validate_config(cfg):
         raise ConfigError("diag.cadence must be a positive step count")
     if d.snapshot_every < 0 or (d.snapshot_every and d.snapshot_every % d.cadence):
         raise ConfigError("diag.snapshot_every must be 0 or a multiple of cadence")
+    if t.dt is not None and (steps := _step_count(t.t_end, t.dt)) % d.cadence:
+        raise ConfigError(f"time.dt: {steps} steps is not a multiple of diag.cadence")
     if not s.epsilons:
         raise ConfigError("sweep.epsilons must not be empty")
     if any(e <= 0 for e in s.epsilons):

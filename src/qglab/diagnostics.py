@@ -344,12 +344,7 @@ def energy_check(series, nu, nu_prime, *, field="U"):
             monotone = False
             first_violation = float(t[i])
             break
-    if len(t) > 1:
-        cum = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(t))]
-        )
-    else:
-        cum = np.zeros(1)
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(t))])
     lhs = e + 2.0 * min(nu, nu_prime) * cum
     denom = e[0] if e[0] > 0 else 1.0
     max_ratio = float(lhs.max() / denom)

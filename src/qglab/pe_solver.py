@@ -42,7 +42,7 @@ import numpy as np
 import scipy.linalg
 
 from .diagnostics import S_LIST, NormSeries, hs_channel, sobolev_norm
-from .config import ConfigError
+from .config import _step_count
 from .operators import decompose
 from .spectral import (
     _band_to_physical,
@@ -50,7 +50,6 @@ from .spectral import (
     _require_band,
     dealias,
     enforce_mean_zero,
-    from_spectral,
     leray_project,
     max_divergence,
     spectral_product,
@@ -63,7 +62,6 @@ __all__ = [
     "pe_step",
     "pe_run",
     "RunRecord",
-    "default_dt",
 ]
 
 
@@ -253,27 +251,6 @@ class RunRecord:
     snapshot_times: list
     snapshots: list
     final_state: np.ndarray
-
-
-def default_dt(grid, U0, t_end):
-    """Step-size policy: advective CFL against the resolved time span.
-
-    dt = min(0.5 dx / max|v|, t_end / 1000); the linear part is exact, so
-    only advection constrains the step.
-    """
-    v_phys = from_spectral(grid, np.asarray(U0)[:3])
-    vmax = float(np.abs(v_phys).max())
-    dx = grid.box_length / grid.n
-    cfl = 0.5 * dx / vmax if vmax > 0 else np.inf
-    return float(min(cfl, t_end / 1000.0))
-
-
-def _step_count(t_end, dt):
-    """Number of steps of size dt in t_end; ConfigError unless it is whole."""
-    n_steps = int(round(t_end / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-8 * max(t_end, dt):
-        raise ConfigError(f"dt={dt} does not divide t_end={t_end}")
-    return n_steps
 
 
 def _run(grid, params, t_end, dt, diag, state0, *, cut, make_step, guard,

@@ -10,12 +10,7 @@ import pytest
 import qglab
 from qglab import NormSeries
 from qglab.cli import cli_main
-from qglab.config import (
-    ConfigError,
-    apply_overrides,
-    default_config,
-    parse_config_text,
-)
+from qglab.config import ConfigError, default_config, parse_config_text
 
 TINY_CONFIG = """
 # desk-scale smoke configuration
@@ -105,6 +100,9 @@ class TestConfigParsing:
             "time.t_end = nan",
             "time.t_end = inf",
             "time.dt = nan",
+            "time.dt = 1e-320",  # t_end/dt overflows to inf
+            "time.dt = 0.003",  # not a whole number of steps in t_end
+            "time.dt = 0.04",  # 25 steps, not a multiple of diag.cadence
             "params.epsilon = inf",
             "params.nu = nan",
             "init.qg_amplitude = inf",
@@ -116,12 +114,39 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text(line)
 
-    def test_overrides(self):
-        cfg = default_config()
-        apply_overrides(cfg, ["params.epsilon=0.2", "grid.n = 16"])
+    def test_overrides(self, tmp_path, capsys, monkeypatch):
+        # the overrides are parsed with the file, after it, in one pass
+        parsed = []
+
+        def parse(text):
+            parsed.append(parse_config_text(text))
+            return parsed[-1]
+
+        monkeypatch.setattr(qglab.cli, "parse_config_text", parse)
+        path = tmp_path / "empty.cfg"
+        path.write_text("")
+        code = cli_main(["check-conditions", "--config", str(path),
+                         "--override", "params.epsilon=0.2",
+                         "--override", "grid.n = 16"])
+        assert code == 0
+        cfg = parsed[-1]
         assert cfg.params.epsilon == 0.2 and cfg.grid.n == 16
-        with pytest.raises(ConfigError):
-            apply_overrides(cfg, ["nonsense"])
+        capsys.readouterr()
+        code = cli_main(["check-conditions", "--config", str(path),
+                         "--override", "nonsense"])
+        assert code == 1
+        assert "'nonsense'" in capsys.readouterr().err
+
+
+def _run_module(argv):
+    """``python -m qglab.cli`` in a fresh process, on this checkout's source."""
+    src = Path(qglab.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, "-m", "qglab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 class TestCLI:
@@ -164,6 +189,50 @@ class TestCLI:
             assert err.startswith("error: ") and key in err, (key, raw, err)
         assert not (tmp_path / "out").exists()
 
+    def test_override_repairs_the_file(self, tmp_path, capsys):
+        # the file alone is invalid (peak 6 needs n > 18); n=32 repairs it
+        path = tmp_path / "peak.cfg"
+        path.write_text("grid.n = 16\ninit.spectrum_peak_k = 6\n")
+        code = cli_main(["check-conditions", "--config", str(path)])
+        assert code == 1
+        assert "spectrum_peak_k" in capsys.readouterr().err
+        code = cli_main(["check-conditions", "--config", str(path),
+                         "--override", "grid.n=32"])
+        assert code == 0
+        assert "margin" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run-pe", "decompose"])
+    @pytest.mark.parametrize("dt", ["0.003", "0.00625"])
+    def test_ragged_dt_rejected_before_the_data(
+        self, command, dt, config_path, tmp_path, capsys, monkeypatch
+    ):
+        def no_data(*args, **kwargs):
+            raise AssertionError("initial data drawn before the config was checked")
+
+        monkeypatch.setattr(qglab.cli, "make_well_prepared_data", no_data)
+        code = cli_main([command, "--config", str(config_path),
+                         "--out", str(tmp_path / "out"),
+                         "--override", f"time.dt={dt}"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("box_length", ["1e-300", "1e-120", "1e300"])
+    def test_extreme_box_length_rejected_before_the_grid(
+        self, box_length, config_path, tmp_path, capsys, monkeypatch
+    ):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("Grid built before the config was checked")
+
+        monkeypatch.setattr(qglab.cli, "Grid", no_grid)
+        code = cli_main(["run-pe", "--config", str(config_path),
+                         "--out", str(tmp_path / "out"),
+                         "--override", f"grid.box_length={box_length}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "grid.box_length" in err
+
     def test_run_pe(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
         code = cli_main(["run-pe", "--config", str(config_path), "--out", str(out)])
@@ -201,16 +270,18 @@ class TestCLI:
         assert not out.exists()
 
     def test_python_m_cli_help(self):
-        src = Path(qglab.__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src), env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run([sys.executable, "-m", "qglab.cli", "--help"],
-                              capture_output=True, text=True, env=env,
-                              timeout=120)
+        proc = _run_module(["--help"])
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: qglab")
+
+    def test_sweep_logs_progress_to_stderr(self, config_path, tmp_path):
+        proc = _run_module(["sweep", "--config", str(config_path),
+                            "--out", str(tmp_path / "out"),
+                            "--override", "sweep.epsilons = 0.1",
+                            "--override", "time.t_end = 0.0125"])
+        assert proc.returncode == 0, proc.stderr
+        assert "running epsilon=0.1" in proc.stderr
+        assert "running epsilon" not in proc.stdout
 
     def test_decompose(self, config_path, tmp_path):
         out = tmp_path / "out"

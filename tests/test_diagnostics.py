@@ -244,8 +244,10 @@ class TestEnergyCheck:
     def test_flat_inviscid_energy(self):
         from qglab import energy_check
 
-        s = self._series([(0.1 * i, 1.0, 0.0) for i in range(5)])
-        assert energy_check(s, 1e-2, 5e-3).passed
+        for records in (5, 1):  # one record: an empty budget integral
+            s = self._series([(0.1 * i, 1.0, 0.0) for i in range(records)])
+            rep = energy_check(s, 1e-2, 5e-3)
+            assert rep.passed and rep.max_budget_ratio == 1.0
 
     def test_monotone_violation_flagged(self):
         from qglab import energy_check

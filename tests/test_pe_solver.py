@@ -33,12 +33,7 @@ from qglab import (
     vorticity_residual,
 )
 from qglab.config import ConfigError, DiagConfig
-from qglab.pe_solver import (
-    LinearPropagator,
-    _linear_symbols,
-    _nonlinear,
-    default_dt,
-)
+from qglab.pe_solver import LinearPropagator, _linear_symbols, _nonlinear
 
 from conftest import half_index
 
@@ -463,13 +458,6 @@ class TestPERun:
         else:
             qg_run(grid8, potential_vorticity(grid8, U0), params, 0.03, 0.01, diag)
         assert alive_at_step_2 == [False]
-
-    def test_default_dt_policy(self, grid16, rng):
-        U0 = random_state(grid16, rng)
-        dt = default_dt(grid16, U0, t_end=1.0)
-        assert 0 < dt <= 1e-3
-        tiny = 1e-6 * U0
-        assert default_dt(grid16, tiny, t_end=1.0) == pytest.approx(1e-3)
 
 
 class TestVorticityResidualOnRuns:

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import qglab.pe_solver
-from qglab import NormSeries, export, fit_rate, run_convergence_sweep
-from qglab.config import default_config
-from qglab.sweep import METRIC_NAMES, SweepResult
+import qglab.sweep
+from qglab import NormSeries, export, fit_rate, random_state, run_convergence_sweep
+from qglab.config import ConfigError, default_config
+from qglab.sweep import METRIC_NAMES, SweepResult, resolve_time
 
 
 class TestFitRate:
@@ -55,7 +56,31 @@ def tiny_sweep_config(epsilons=(0.2, 0.1)):
     return cfg
 
 
+class TestResolveTime:
+    def test_auto_dt_policy(self, grid16, rng):
+        cfg = default_config()  # time.dt = auto, t_end = 1, cadence 10
+        U0 = random_state(grid16, rng)
+        dt, n_steps = resolve_time(cfg, grid16, U0)
+        assert 0 < dt <= 1e-3
+        assert n_steps % cfg.diag.cadence == 0 and n_steps * dt == pytest.approx(1.0)
+        tiny = 1e-6 * U0
+        dt, n_steps = resolve_time(cfg, grid16, tiny)
+        assert dt == pytest.approx(1e-3)
+        assert n_steps % cfg.diag.cadence == 0
+
+
 class TestRunConvergenceSweep:
+    @pytest.mark.parametrize("dt", [0.003, 0.00625])
+    def test_ragged_config_rejected_before_any_data(self, dt, monkeypatch):
+        def no_data(*args, **kwargs):
+            raise AssertionError("initial data drawn before the config was checked")
+
+        monkeypatch.setattr(qglab.sweep, "make_well_prepared_data", no_data)
+        cfg = tiny_sweep_config()
+        cfg.time.dt = dt
+        with pytest.raises(ConfigError):
+            run_convergence_sweep(cfg)
+
     def test_tiny_sweep_structure(self):
         cfg = tiny_sweep_config()
         result = run_convergence_sweep(cfg)
