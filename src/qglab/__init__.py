@@ -27,7 +27,6 @@ from .initial_data import make_well_prepared_data
 from .operators import (
     Decomposition,
     apply_diffusion,
-    apply_qg_diffusion,
     biot_savart,
     coriolis_buoyancy,
     decompose,
@@ -49,7 +48,6 @@ from .spectral import (
     Grid,
     Params,
     advect,
-    advect_scalar,
     dealias,
     derivative,
     enforce_mean_zero,

@@ -19,6 +19,8 @@ Documented ranges:
 * init.qg_amplitude >= 0 (target H^1 norm of the balanced part)
 * init.osc_amplitude >= 0 (well-prepared coefficient c: the oscillating
   part is scaled to H^-1 norm c * epsilon)
+* init amplitudes: no H^s norm (s in ``S_LIST``) of data at their targets may
+  overflow over that |xi| range, at the largest of all the epsilons
 * init.osc_extra_smoothness >= 0
 * diag.cadence: positive steps; diag.snapshot_every: 0 (off) or a positive
   multiple of cadence, for the full and the limit run alike
@@ -227,4 +229,14 @@ def validate_config(cfg):
         raise ConfigError("sweep.epsilons must be positive")
     if any(a <= b for a, b in zip(s.epsilons, s.epsilons[1:])):
         raise ConfigError("sweep.epsilons must be strictly decreasing")
+    # ||f||_{H^s}^2 <= target^2 max |xi|^(2s - 2 sigma) for the H^sigma target
+    # of each part, times 4 for the sum of the two parts
+    eps_max = max(cfg.params.epsilon, *s.epsilons)
+    for key, target, sigma in (("init.qg_amplitude", i.qg_amplitude, 1.0),
+                               ("init.osc_amplitude", i.osc_amplitude * eps_max, -1.0)):
+        with np.errstate(all="ignore"):
+            squares = 4.0 * np.square(target) * weights * xi[:, None] ** (-2.0 * sigma)
+        if target > 0 and not np.all(squares < np.inf):
+            raise ConfigError(f"{key}: an H^s norm of the initial data would "
+                              f"overflow at grid.box_length={g.box_length:g}")
     return cfg

@@ -45,13 +45,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    apply_qg_diffusion,
     biot_savart,
     osc_vorticity_source,
     potential_vorticity,
     project_osc,
+    qg_diffusion_symbol,
 )
-from .spectral import advect_scalar, derivative, l2_norm
+from .spectral import advect, derivative, l2_norm
 
 __all__ = [
     "S_LIST",
@@ -234,12 +234,13 @@ def vorticity_residual(record, params):
     F = params.froude
     out = NormSeries()
     pv = [potential_vorticity(grid, W, F) for W in snaps]
+    gamma = qg_diffusion_symbol(grid, params.nu, params.nu_prime, F)
     for i in range(1, len(snaps) - 1):
         U = snaps[i]
         omega = pv[i]
         dt_pv = (pv[i + 1] - pv[i - 1]) / (2.0 * ds)
-        adv = advect_scalar(grid, U[:3], omega)
-        diff = apply_qg_diffusion(grid, omega, params.nu, params.nu_prime, F)
+        adv = advect(grid, U[:3], omega)
+        diff = gamma * omega
         U_qg = biot_savart(grid, omega, F)
         U_osc = U - U_qg
         visc = (

@@ -54,7 +54,6 @@ __all__ = [
     "coriolis_buoyancy",
     "apply_diffusion",
     "qg_diffusion_symbol",
-    "apply_qg_diffusion",
     "osc_vorticity_source",
 ]
 
@@ -123,14 +122,7 @@ def qg_diffusion_symbol(grid, nu, nu_prime, froude=1.0):
     """Real multiplier of the limit-system vorticity diffusion (<= 0)."""
     num = nu * (grid.kd1**2 + grid.kd2**2) + nu_prime * froude**2 * grid.kd3**2
     den = grid.kd1**2 + grid.kd2**2 + froude**2 * grid.kd3**2
-    sym = np.divide(
-        -grid.kd_mag2 * num, den, out=np.zeros_like(den), where=den > 0
-    )
-    return sym
-
-
-def apply_qg_diffusion(grid, omega, nu, nu_prime, froude=1.0):
-    return qg_diffusion_symbol(grid, nu, nu_prime, froude) * omega
+    return np.divide(-grid.kd_mag2 * num, den, out=np.zeros_like(den), where=den > 0)
 
 
 def osc_vorticity_source(grid, U_osc, U, U_qg, froude=1.0):

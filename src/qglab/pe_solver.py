@@ -43,7 +43,7 @@ import scipy.linalg
 
 from .diagnostics import S_LIST, NormSeries, hs_channel, sobolev_norm
 from .config import _step_count
-from .operators import decompose
+from .operators import coriolis_buoyancy, decompose
 from .spectral import (
     _band_to_physical,
     _leray_in_place,
@@ -76,8 +76,7 @@ class BlowUpError(RuntimeError):
 
 def _symbols(kd, params):
     """Real 4x4 symbol of M = L - (1/eps) P A at each row of an (m, 3)
-    wavevector array, shape (m, 4, 4)."""
-    F = params.froude
+    wavevector array, shape (m, 4, 4); A is ``coriolis_buoyancy``."""
     k2 = np.einsum("mi,mi->m", kd, kd)
     inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
 
@@ -85,15 +84,7 @@ def _symbols(kd, params):
     proj[:, :3, :3] = np.eye(3) - kd[:, :, None] * kd[:, None, :] * inv_k2[:, None, None]
     proj[:, 3, 3] = 1.0
 
-    a4 = np.array(
-        [
-            [0.0, -1.0, 0.0, 0.0],
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0 / F],
-            [0.0, 0.0, -1.0 / F, 0.0],
-        ]
-    )
-    m = -(1.0 / params.epsilon) * (proj @ a4)
+    m = -(1.0 / params.epsilon) * (proj @ coriolis_buoyancy(np.eye(4), params.froude))
     m[:, np.arange(3), np.arange(3)] -= params.nu * k2[:, None]
     m[:, 3, 3] -= params.nu_prime * k2
     return m

@@ -46,13 +46,13 @@ def qg_rhs(grid, omega, params):
     omega = np.asarray(omega)
     grid.check_shape(omega)
     _require_band(grid, omega, "qg_rhs")
-    return _qg_rhs(grid, omega, params)
+    return _qg_rhs(grid, omega, params.froude)
 
 
-def _qg_rhs(grid, omega, params):
-    """qg_rhs without its checks."""
+def _qg_rhs(grid, omega, froude):
+    """qg_rhs without its checks, at Froude number ``froude``."""
     ikd1, ikd2 = 1j * grid.kd1, 1j * grid.kd2
-    phi = inverse_anisotropic_laplacian(grid, omega, params.froude)
+    phi = inverse_anisotropic_laplacian(grid, omega, froude)
     batch = np.empty((4,) + grid.shape, dtype=np.complex128)
     np.multiply(-ikd2, phi, out=batch[0])   # v1
     np.multiply(ikd1, phi, out=batch[1])    # v2
@@ -67,7 +67,7 @@ def _qg_rhs(grid, omega, params):
 def _qg_stepper(grid, dt, params):
     """qg_step without its checks, as a function of the vorticity."""
     sym = qg_diffusion_symbol(grid, params.nu, params.nu_prime, params.froude)
-    return partial(_lawson_rk4, h=dt, rhs=partial(_qg_rhs, grid, params=params),
+    return partial(_lawson_rk4, h=dt, rhs=partial(_qg_rhs, grid, froude=params.froude),
                    expo_half=partial(np.multiply, np.exp(0.5 * dt * sym)))
 
 

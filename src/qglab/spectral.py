@@ -57,7 +57,6 @@ __all__ = [
     "dealias",
     "leray_project",
     "advect",
-    "advect_scalar",
     "l2_norm",
     "l2_inner",
     "max_divergence",
@@ -284,7 +283,7 @@ def spectral_product(grid, prod):
 
 
 def advect(grid, v, U):
-    """Pseudo-spectral v . grad U for a 4-component state.
+    """Pseudo-spectral v . grad U for a scalar field or a stack of fields.
 
     Transforms to physical space, multiplies, transforms back and applies the
     2/3 cut; the (analytically zero-mean, for divergence-free v) k=0 output
@@ -293,29 +292,19 @@ def advect(grid, v, U):
     v = np.asarray(v)
     U = np.asarray(U)
     grid.check_shape(v, 3)
-    grid.check_shape(U, 4)
-    n = grid.n
+    grid.check_shape(U)
+    n, lead = grid.n, U.shape[:-3]
+    m = int(np.prod(lead))
     # gradients are written straight into the transform batch, the largest
     # temporary of a step, rather than built apart and copied in
-    stack = np.empty((15,) + grid.shape, dtype=np.complex128)
+    stack = np.empty((3 + 3 * m,) + grid.shape, dtype=np.complex128)
     stack[:3] = v
     for kd, out in zip((grid.kd1, grid.kd2, grid.kd3),
-                       stack[3:].reshape((3, 4) + grid.shape)):
-        np.multiply(1j * kd, U, out=out)
+                       stack[3:].reshape((3, m) + grid.shape)):
+        np.multiply(1j * kd, U.reshape((m,) + grid.shape), out=out)
     p = from_spectral(grid, stack)
-    prod = np.einsum("jxyz,jixyz->ixyz", p[:3], p[3:].reshape(3, 4, n, n, n))
-    return spectral_product(grid, prod)
-
-
-def advect_scalar(grid, v, f):
-    """Pseudo-spectral v . grad f for a scalar field."""
-    v = np.asarray(v)
-    grid.check_shape(v, 3)
-    grid.check_shape(f)
-    grad = [derivative(grid, f, axis) for axis in (1, 2, 3)]
-    p = from_spectral(grid, np.stack([*v, *grad]))
-    prod = np.einsum("jxyz,jxyz->xyz", p[:3], p[3:])
-    return spectral_product(grid, prod)
+    prod = np.einsum("jxyz,jixyz->ixyz", p[:3], p[3:].reshape(3, m, n, n, n))
+    return spectral_product(grid, prod.reshape(lead + (n,) * 3))
 
 
 def _plane_sum(a):

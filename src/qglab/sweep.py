@@ -10,9 +10,12 @@ sweep reduces these (``_METRICS``) to
 * sup_t ||pv gap||_{L2},
 * ||balanced gap||_{E^s} for s in {1/2, 1},
 
-and fits log(metric) against log(epsilon) by least squares. With the
-oscillating amplitude scaled proportionally to epsilon the dissipation-norm
-metrics are expected to shrink like eps^((1-s)/2).
+and fits log(metric) against log(epsilon) by least squares. The oscillating
+part of the data is scaled to H^-1 norm c * epsilon, so the oscillating
+metrics (``osc_es_*``, ``sup_osc_l2``) fall like epsilon by construction:
+their slopes read about 1 and say nothing about the limit. The test of the
+limit is the gap to the reference run, ``omega_diff_sup_l2`` (the pv gap)
+and ``qg_diff_es_*`` (the balanced gap).
 
 Exports are CSV (%.17g, exact float64 round-trip) plus a gnuplot script for
 the log-log figures.

@@ -2,6 +2,7 @@ import numpy as np
 
 import qglab.operators
 import qglab.pe_solver
+import qglab.qg_solver
 from qglab import Grid, derivative
 from qglab.checks import CheckResult, run_all, structure_defects
 from qglab.cli import cli_main
@@ -32,6 +33,33 @@ def test_suite_fails_on_an_unrotated_propagator(monkeypatch):
     monkeypatch.setattr(qglab.pe_solver, "_rotate_pair", lambda *args: None)
     results = {r.name: r for r in run_all(n=8, draws=1, seed=5)}
     assert not results["propagator equals per-mode expm on every stored mode"].passed
+
+
+def test_suite_fails_on_a_flipped_buoyancy_transport(monkeypatch):
+    # the full solver's N(U) with the sign of its theta component flipped
+    nonlinear = qglab.pe_solver._nonlinear
+
+    def flipped(grid, U):
+        out = nonlinear(grid, U)
+        out[3] *= -1.0
+        return out
+
+    monkeypatch.setattr(qglab.pe_solver, "_nonlinear", flipped)
+    worst = structure_defects(Grid(16), np.random.default_rng(5), 3)
+    assert worst["transport/vorticity"] > 1e-8
+    results = {r.name: r for r in run_all(n=16, draws=3, seed=5)}
+    assert not results["transport/vorticity commutation on QG fields"].passed
+
+
+def test_suite_fails_on_a_reversed_qg_transport(monkeypatch):
+    # the limit solver's transport with a wrong-handed Biot-Savart velocity
+    qg_rhs = qglab.qg_solver._qg_rhs
+    monkeypatch.setattr(qglab.qg_solver, "_qg_rhs",
+                        lambda grid, omega, froude: -qg_rhs(grid, omega, froude))
+    worst = structure_defects(Grid(16), np.random.default_rng(5), 3)
+    assert worst["transport/vorticity"] > 1e-8
+    results = {r.name: r for r in run_all(n=16, draws=3, seed=5)}
+    assert not results["transport/vorticity commutation on QG fields"].passed
 
 
 def test_check_invariants_cli(monkeypatch, capsys):

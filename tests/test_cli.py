@@ -50,6 +50,12 @@ class TestConfigParsing:
         assert cfg.time.dt == 0.0025
         assert cfg.sweep.epsilons == (0.2, 0.1)
 
+    def test_osc_amplitude_bound_reads_the_largest_epsilon(self):
+        parse_config_text("init.osc_amplitude = 1e100")
+        with pytest.raises(ConfigError, match="init.osc_amplitude"):
+            parse_config_text("init.osc_amplitude = 1e100\n"
+                              "sweep.epsilons = 1e100, 0.1")
+
     def test_unknown_key_named_in_error(self):
         with pytest.raises(ConfigError, match="grid.sizes"):
             parse_config_text("grid.sizes = 32")
@@ -215,6 +221,23 @@ class TestCLI:
                          "--override", f"time.dt={dt}"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key", ["init.qg_amplitude", "init.osc_amplitude"])
+    def test_huge_amplitude_rejected_before_the_data(
+        self, key, config_path, tmp_path, capsys, monkeypatch
+    ):
+        def no_data(*args, **kwargs):
+            raise AssertionError("initial data drawn before the config was checked")
+
+        monkeypatch.setattr(qglab.cli, "make_well_prepared_data", no_data)
+        code = cli_main(["run-pe", "--config", str(config_path),
+                         "--out", str(tmp_path / "out"),
+                         "--override", f"{key}=1e300"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and key in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("error")

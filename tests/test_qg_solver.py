@@ -56,11 +56,11 @@ class TestQGRhs:
         assert abs(l2_inner(rhs, om)) <= 1e-8 * l2_norm(rhs) * l2_norm(om)
 
     def test_matches_velocity_form_advection(self, grid16, rng, params):
-        from qglab import advect_scalar
+        from qglab import advect
 
         om = random_scalar(grid16, rng)
         v = biot_savart(grid16, om, params.froude)[:3]
-        ref = -advect_scalar(grid16, v, om)
+        ref = -advect(grid16, v, om)
         assert np.abs(qg_rhs(grid16, om, params) - ref).max() < 1e-15
 
     @pytest.mark.parametrize("n", [16, 32])

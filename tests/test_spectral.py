@@ -273,6 +273,12 @@ class TestAdvect:
         assert np.abs(from_spectral(g, out[3]) - expected).max() < 1e-12
         assert l2_norm(out[:3]) < 1e-15
 
+    def test_scalar_field_matches_state_component(self, grid32, rng):
+        U = random_state(grid32, rng)
+        out = advect(grid32, U[:3], U[3])
+        assert out.shape == grid32.shape
+        assert l2_norm(out - advect(grid32, U[:3], U)[3]) <= 1e-14 * l2_norm(out)
+
     def test_zero_velocity(self, grid32, rng):
         U = random_state(grid32, rng)
         out = advect(grid32, np.zeros_like(U[:3]), U)
