@@ -26,14 +26,11 @@ from .diagnostics import (
 from .initial_data import make_well_prepared_data
 from .operators import (
     Decomposition,
-    apply_diffusion,
     biot_savart,
     coriolis_buoyancy,
     decompose,
     osc_vorticity_source,
     potential_vorticity,
-    project_osc,
-    project_qg,
     qg_diffusion_symbol,
 )
 from .pe_solver import (

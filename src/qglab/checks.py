@@ -8,7 +8,8 @@ acceptance criterion 1 calls that same function with its own draws and
 tolerances, and criterion 6 calls :func:`truncation_defects` likewise.
 The identities hold on the terms the runs execute, looked up at call time:
 N(U) of ``pe_solver._nonlinear``, the QG transport of ``qg_solver._qg_rhs``
-and the A of ``coriolis_buoyancy`` that the propagator's symbol is built from.
+and the symbol M = L - (1/eps) P A of ``pe_solver._linear_symbols`` and the
+gamma of ``qg_diffusion_symbol`` that the two propagators exponentiate.
 """
 
 from __future__ import annotations
@@ -26,16 +27,13 @@ from .diagnostics import (
     tail_bound_check,
 )
 from .operators import (
-    apply_diffusion,
     biot_savart,
     coriolis_buoyancy,
     decompose,
     potential_vorticity,
-    project_osc,
-    project_qg,
     qg_diffusion_symbol,
 )
-from .pe_solver import _linear_symbols, build_propagator
+from .pe_solver import build_propagator
 from .spectral import (
     Grid,
     Params,
@@ -69,13 +67,15 @@ def _rel(defect, scale):
 
 
 def structure_defects(grid, rng, draws):
-    """Worst relative defect of each QG/oscillating identity over ``draws``.
+    """Worst relative defect of each QG/oscillating identity over ``draws``,
+    each draw evaluated at F = 1 and F = 0.5.
 
     Each draw takes one solenoidal :func:`random_state` U for the projector,
     H^s orthogonality (s = 0, 1/2, 1), skewness and solenoidality identities,
     then one balanced W = biot_savart(random_scalar) for the transport/pv
     commutation pv(N(W)) = QG transport of pv(W), the H^1 cancellation
-    <N(W), W>_{H^1} = 0 and the diffusion identity.
+    <N(W), W>_{H^1} = 0 (F = 1 only: the F = 1 form of <pv N(W), pv W> = 0)
+    and the diffusion identity QG(M W) = gamma W, M = L - (1/eps) P A.
     """
     worst = dict.fromkeys(("projections", "orthogonality", "skewness", "solenoidal",
                            "transport/vorticity", "H1 cancellation",
@@ -84,39 +84,47 @@ def structure_defects(grid, rng, draws):
     def bump(key, *defects):
         worst[key] = max(worst[key], *defects)
 
+    # per F: the propagator's M and the limit solver's gamma; QG P A W = 0
+    symbols = [(F, pe_solver._linear_symbols(grid, Params(0.05, 1e-2, 5e-3, F)),
+                qg_diffusion_symbol(grid, 1e-2, 5e-3, F)) for F in (1.0, 0.5)]
     for _ in range(draws):
-        U = random_state(grid, rng)
-        dec = decompose(grid, U)
-        au = coriolis_buoyancy(U)
-        bump("projections",
-             _rel(l2_norm(project_qg(grid, dec.qg) - dec.qg), l2_norm(dec.qg)),
-             _rel(l2_norm(project_osc(grid, dec.osc) - dec.osc), l2_norm(dec.osc)),
-             l2_norm(dec.qg + dec.osc - U) / l2_norm(U),
-             _rel(l2_norm(potential_vorticity(grid, dec.osc)), l2_norm(dec.omega)))
-        for s in (0.0, 0.5, 1.0):
-            n_osc = sobolev_norm(grid, dec.osc, s)
-            bump("orthogonality",
-                 _rel(abs(hs_inner(grid, dec.osc, dec.qg, s)),
-                      n_osc * sobolev_norm(grid, dec.qg, s)),
-                 _rel(abs(hs_inner(grid, au, dec.osc, s)),
-                      sobolev_norm(grid, au, s) * n_osc))
-        bump("skewness",
-             _rel(abs(l2_inner(au, U)), l2_norm(au) * l2_norm(U)),
-             _rel(abs(hs_inner(grid, au, U, 1.0)),
-                  sobolev_norm(grid, au, 1.0) * sobolev_norm(grid, U, 1.0)))
-        bump("solenoidal", max_divergence(grid, dec.qg))
+        U, omega = random_state(grid, rng), random_scalar(grid, rng)
+        for F, M, gamma in symbols:
+            dec = decompose(grid, U, F)
+            au = coriolis_buoyancy(U, F)
+            bump("projections",
+                 _rel(l2_norm(decompose(grid, dec.qg, F).qg - dec.qg), l2_norm(dec.qg)),
+                 _rel(l2_norm(decompose(grid, dec.osc, F).osc - dec.osc),
+                      l2_norm(dec.osc)),
+                 l2_norm(dec.qg + dec.osc - U) / l2_norm(U),
+                 _rel(l2_norm(potential_vorticity(grid, dec.osc, F)),
+                      l2_norm(dec.omega)))
+            for s in (0.0, 0.5, 1.0):
+                n_osc = sobolev_norm(grid, dec.osc, s)
+                bump("orthogonality",
+                     _rel(abs(hs_inner(grid, dec.osc, dec.qg, s)),
+                          n_osc * sobolev_norm(grid, dec.qg, s)),
+                     _rel(abs(hs_inner(grid, au, dec.osc, s)),
+                          sobolev_norm(grid, au, s) * n_osc))
+            bump("skewness",
+                 _rel(abs(l2_inner(au, U)), l2_norm(au) * l2_norm(U)),
+                 _rel(abs(hs_inner(grid, au, U, 1.0)),
+                      sobolev_norm(grid, au, 1.0) * sobolev_norm(grid, U, 1.0)))
+            bump("solenoidal", max_divergence(grid, dec.qg))
 
-        W = biot_savart(grid, random_scalar(grid, rng))
-        nl = pe_solver._nonlinear(grid, W)
-        rhs = qg_solver._qg_rhs(grid, potential_vorticity(grid, W), 1.0)
-        bump("transport/vorticity",
-             _rel(l2_norm(potential_vorticity(grid, nl) - rhs), l2_norm(rhs)))
-        bump("H1 cancellation",
-             _rel(abs(hs_inner(grid, nl, W, 1.0)),
-                  sobolev_norm(grid, nl, 1.0) * sobolev_norm(grid, W, 1.0)))
-        gam = qg_diffusion_symbol(grid, 1e-2, 5e-3) * W
-        qld = project_qg(grid, apply_diffusion(grid, W, 1e-2, 5e-3))
-        bump("diffusion identity", _rel(l2_norm(gam - qld), l2_norm(gam)))
+            W = biot_savart(grid, omega, F)
+            nl = pe_solver._nonlinear(grid, W)
+            rhs = qg_solver._qg_rhs(grid, potential_vorticity(grid, W, F), F)
+            bump("transport/vorticity",
+                 _rel(l2_norm(potential_vorticity(grid, nl, F) - rhs), l2_norm(rhs)))
+            if F == 1.0:
+                bump("H1 cancellation",
+                     _rel(abs(hs_inner(grid, nl, W, 1.0)),
+                          sobolev_norm(grid, nl, 1.0) * sobolev_norm(grid, W, 1.0)))
+            gam = gamma * W
+            mw = np.einsum("mab,bm->am", M, W.reshape(4, -1)).reshape(W.shape)
+            bump("diffusion identity",
+                 _rel(l2_norm(gam - decompose(grid, mw, F).qg), l2_norm(gam)))
     return worst
 
 
@@ -235,7 +243,7 @@ def run_all(n=32, draws=50, seed=2024):
     params = Params(epsilon=0.05, nu=1e-2, nu_prime=5e-3, froude=0.5)
     dt = 0.01
     got = np.moveaxis(build_propagator(small, params, dt).half, (0, 1), (-2, -1))
-    want = scipy.linalg.expm((0.5 * dt) * _linear_symbols(small, params))
+    want = scipy.linalg.expm((0.5 * dt) * pe_solver._linear_symbols(small, params))
     want = want.reshape(small.shape + (4, 4))
     want[0, 0, 0] = 0.0
     scale = np.maximum(np.abs(want).max(axis=(-2, -1)), 1e-300)

@@ -77,6 +77,12 @@ def _setup(cfg):
     return grid, U0, dt, n_steps
 
 
+def _report_energy(series, params, field):
+    report = energy_check(series, params.nu, params.nu_prime, field=field)
+    flag = "ok" if report.passed else f"FAILED at t={report.first_violation_time:g}"
+    print(f"energy: {flag}")
+
+
 def _cmd_run_pe(args):
     cfg = _load(args)
     grid, U0, dt, n_steps = _setup(cfg)
@@ -86,9 +92,7 @@ def _cmd_run_pe(args):
     out.mkdir(parents=True, exist_ok=True)
     path = out / "pe_series.csv"
     record.series.to_csv(path)
-    report = energy_check(record.series, cfg.params.nu, cfg.params.nu_prime)
-    flag = "ok" if report.passed else f"FAILED at t={report.first_violation_time:g}"
-    print(f"energy: {flag}")
+    _report_energy(record.series, cfg.params, "U")
     print(f"wrote {path}")
     return 0
 
@@ -103,6 +107,7 @@ def _cmd_run_qg(args):
     out.mkdir(parents=True, exist_ok=True)
     path = out / "qg_series.csv"
     record.series.to_csv(path)
+    _report_energy(record.series, cfg.params, "omega")
     print(f"wrote {path}")
     return 0
 

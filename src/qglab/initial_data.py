@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .config import ConfigError
-from .operators import biot_savart, project_osc
+from .operators import biot_savart, decompose
 from .diagnostics import S_LIST, sobolev_norm
 from .spectral import Grid, enforce_mean_zero, leray_project, random_scalar
 
@@ -53,7 +53,7 @@ def make_well_prepared_data(grid, config, *, osc_h_minus1=None):
         osc_rng = np.random.default_rng((init.seed, 1, 0))
         raw = np.stack([random_scalar(grid, osc_rng, init.spectrum_peak_k,
                                       init.osc_extra_smoothness) for _ in range(4)])
-        candidate = project_osc(grid, leray_project(grid, raw), froude)
+        candidate = decompose(grid, leray_project(grid, raw), froude).osc
         hm1 = sobolev_norm(grid, candidate, -1.0)
         if not hm1 > 1e-12:
             raise ConfigError("oscillating draw vanished; change grid.box_length,"

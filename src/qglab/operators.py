@@ -8,26 +8,28 @@ vorticity
 Per Fourier mode the real vector r(xi) = (-xi2, xi1, 0, -F*xi3) spans the
 quasi-geostrophic subspace: the Biot-Savart inversion is
 U = r(xi) * pv_hat / |r(xi)|^2 (equivalently (-d2, d1, 0, -F d3) applied to
-the inverse anisotropic Laplacian of the vorticity), and the QG projector is
-the mode-wise orthogonal projection onto r(xi). Its complement carries the
-fast oscillations. Orthogonality of the two parts in every H^s then holds
-mode by mode, QG fields are divergence-free (xi . (-xi2, xi1, 0) = 0), and a
-field is oscillating iff its potential vorticity vanishes.
+the inverse anisotropic Laplacian of the vorticity). :func:`decompose`, the
+one QG/oscillating split, takes the mode-wise orthogonal projection onto
+r(xi) as the QG part; the complement carries the fast oscillations. The two
+parts are orthogonal in every H^s mode by mode, QG fields are divergence-free
+(xi . (-xi2, xi1, 0) = 0), and a field is oscillating iff its potential
+vorticity vanishes.
 
 The skew coupling matrix rotates the horizontal velocity and exchanges
 vertical velocity with buoyancy:
 
     A U = (-v2, v1, theta/F, -v3/F),
 
-the anisotropic diffusion is L U = (nu lap v, nu' lap theta), and the limit
-dynamics dissipate vorticity through the order-2 multiplier
+the anisotropic diffusion L U = (nu lap v, nu' lap theta) is the diagonal of
+the propagator's symbol (``pe_solver._symbols``), and the limit dynamics
+dissipate vorticity through the order-2 multiplier
 
     gamma(xi) = -|xi|^2 (nu (xi1^2 + xi2^2) + nu' F^2 xi3^2)
                 / (xi1^2 + xi2^2 + F^2 xi3^2),
 
 which collapses to nu d11 + nu d22 + nu' d33 at F = 1 and to nu*lap when
 nu = nu'. For quasi-geostrophic U the identity gamma(U) = QG(L U) holds mode
-by mode.
+by mode; ``checks.structure_defects`` checks it on that symbol.
 """
 
 from __future__ import annotations
@@ -47,12 +49,9 @@ from .spectral import (
 __all__ = [
     "potential_vorticity",
     "biot_savart",
-    "project_qg",
-    "project_osc",
     "decompose",
     "Decomposition",
     "coriolis_buoyancy",
-    "apply_diffusion",
     "qg_diffusion_symbol",
     "osc_vorticity_source",
 ]
@@ -80,16 +79,6 @@ def biot_savart(grid, omega, froude=1.0):
     )
 
 
-def project_qg(grid, U, froude=1.0):
-    """Quasi-geostrophic part: Biot-Savart of the potential vorticity."""
-    return biot_savart(grid, potential_vorticity(grid, U, froude), froude)
-
-
-def project_osc(grid, U, froude=1.0):
-    """Oscillating part: complement of the quasi-geostrophic projection."""
-    return U - project_qg(grid, U, froude)
-
-
 @dataclass
 class Decomposition:
     """QG/oscillating split of a state plus its potential vorticity."""
@@ -100,6 +89,7 @@ class Decomposition:
 
 
 def decompose(grid, U, froude=1.0):
+    """The QG part biot_savart(pv(U)), the oscillating rest U - QG, and pv(U)."""
     omega = potential_vorticity(grid, U, froude)
     qg = biot_savart(grid, omega, froude)
     return Decomposition(qg=qg, osc=U - qg, omega=omega)
@@ -108,14 +98,6 @@ def decompose(grid, U, froude=1.0):
 def coriolis_buoyancy(U, froude=1.0):
     """Pointwise skew coupling (-v2, v1, theta/F, -v3/F)."""
     return np.stack([-U[1], U[0], U[3] / froude, -U[2] / froude])
-
-
-def apply_diffusion(grid, U, nu, nu_prime):
-    """nu * lap on the velocity components, nu' * lap on buoyancy."""
-    out = np.empty_like(U)
-    out[:3] = -nu * grid.kd_mag2 * U[:3]
-    out[3] = -nu_prime * grid.kd_mag2 * U[3]
-    return out
 
 
 def qg_diffusion_symbol(grid, nu, nu_prime, froude=1.0):
@@ -131,7 +113,9 @@ def osc_vorticity_source(grid, U_osc, U, U_qg, froude=1.0):
     Five pseudo-spectral products, each with one oscillating factor:
 
         d3 v3_osc * (d1 v2 - d2 v1) - d1 v3_osc * d3 v2 + d2 v3_osc * d3 v1
-        + d3 v_qg . grad theta_osc + d3 v_osc . grad theta.
+        + F d3 v_qg . grad theta_osc + F d3 v_osc . grad theta,
+
+    the theta terms carrying the F of pv's -F d3 theta.
 
     Vanishes identically when the oscillating part is zero.
     """
@@ -148,10 +132,10 @@ def osc_vorticity_source(grid, U_osc, U, U_qg, froude=1.0):
         dh(U_osc[2], 2),                    # 4
         dh(U[0], 3),                        # 5
     ]
-    terms += [dh(U_qg[j], 3) for j in range(3)]        # 6..8
-    terms += [dh(U_osc[3], ax) for ax in (1, 2, 3)]    # 9..11
-    terms += [dh(U_osc[j], 3) for j in range(3)]       # 12..14
-    terms += [dh(U[3], ax) for ax in (1, 2, 3)]        # 15..17
+    terms += [dh(U_qg[j], 3) for j in range(3)]                # 6..8
+    terms += [froude * dh(U_osc[3], ax) for ax in (1, 2, 3)]  # 9..11
+    terms += [dh(U_osc[j], 3) for j in range(3)]               # 12..14
+    terms += [froude * dh(U[3], ax) for ax in (1, 2, 3)]       # 15..17
 
     p = from_spectral(grid, np.stack(terms))
     q = p[0] * p[1] - p[2] * p[3] + p[4] * p[5]

@@ -33,7 +33,7 @@ from qglab.config import default_config
 from qglab.pe_solver import _linear_symbols
 from qglab.sweep import run_convergence_sweep
 
-from conftest import half_index
+from half_spectrum import half_index
 
 INVISCID = 1e-30  # positive, but exp(-nu k^2 dt) == 1.0 exactly in float64
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 
 import qglab.operators
@@ -60,6 +62,22 @@ def test_suite_fails_on_a_reversed_qg_transport(monkeypatch):
     assert worst["transport/vorticity"] > 1e-8
     results = {r.name: r for r in run_all(n=16, draws=3, seed=5)}
     assert not results["transport/vorticity commutation on QG fields"].passed
+
+
+def test_suite_fails_on_swapped_diffusivities(monkeypatch):
+    # the propagator's L with nu and nu' exchanged: the diffusion identity
+    # reads the symbol the propagator exponentiates, so it must see this
+    symbols = qglab.pe_solver._symbols
+
+    def swapped(kd, params):
+        return symbols(kd, dataclasses.replace(params, nu=params.nu_prime,
+                                               nu_prime=params.nu))
+
+    monkeypatch.setattr(qglab.pe_solver, "_symbols", swapped)
+    worst = structure_defects(Grid(16), np.random.default_rng(5), 3)
+    assert worst["diffusion identity"] > 1e-10
+    results = {r.name: r for r in run_all(n=16, draws=3, seed=5)}
+    assert not results["QG diffusion = QG projection of full diffusion"].passed
 
 
 def test_check_invariants_cli(monkeypatch, capsys):

@@ -265,12 +265,31 @@ class TestCLI:
         assert "hs_Uosc_1.5" in series.channels
         assert "energy: ok" in capsys.readouterr().out
 
-    def test_run_qg(self, config_path, tmp_path):
+    def test_run_qg(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
         code = cli_main(["run-qg", "--config", str(config_path), "--out", str(out)])
         assert code == 0
         series = NormSeries.from_csv(out / "qg_series.csv")
         assert "hs_omega_0" in series.channels
+        assert "energy: ok" in capsys.readouterr().out
+
+    def test_run_qg_reports_an_energy_violation(self, config_path, tmp_path,
+                                                monkeypatch, capsys):
+        # the vorticity energy check is read from the run's own omega channels
+        seen = {}
+
+        def failing(series, nu, nu_prime, *, field="U"):
+            seen["field"] = field
+            return qglab.diagnostics.EnergyReport(
+                passed=False, monotone=False, max_budget_ratio=1.5,
+                first_violation_time=0.01)
+
+        monkeypatch.setattr(qglab.cli, "energy_check", failing)
+        code = cli_main(["run-qg", "--config", str(config_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "energy: FAILED at t=0.01" in capsys.readouterr().out
+        assert seen["field"] == "omega"
 
     def test_sweep(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from qglab import (
+    decompose,
     l2_norm,
     make_well_prepared_data,
     max_divergence,
-    project_osc,
-    project_qg,
     sobolev_norm,
 )
 from qglab.config import default_config
@@ -17,7 +16,7 @@ class TestMakeWellPreparedData:
         cfg = default_config()
         cfg.init.osc_amplitude = 0.0
         U0 = make_well_prepared_data(grid32, cfg)
-        osc = project_osc(grid32, U0)
+        osc = decompose(grid32, U0).osc
         assert sobolev_norm(grid32, osc, -1.0) <= 1e-10 * sobolev_norm(grid32, U0, -1.0)
         assert abs(sobolev_norm(grid32, U0, 1.0) - cfg.init.qg_amplitude) <= 1e-10
 
@@ -27,14 +26,15 @@ class TestMakeWellPreparedData:
         cfg.init.osc_amplitude = 1.0  # coefficient; target = 1.0 * epsilon
         U0 = make_well_prepared_data(grid32, cfg)
         target = cfg.params.epsilon
-        got = sobolev_norm(grid32, project_osc(grid32, U0), -1.0)
+        dec = decompose(grid32, U0)
+        got = sobolev_norm(grid32, dec.osc, -1.0)
         assert abs(got - target) <= 1e-10 * target
-        assert l2_norm(project_qg(grid32, U0)) <= 1e-10 * l2_norm(U0)
+        assert l2_norm(dec.qg) <= 1e-10 * l2_norm(U0)
 
     def test_explicit_amplitude_override(self, grid32):
         cfg = default_config()
         U0 = make_well_prepared_data(grid32, cfg, osc_h_minus1=0.037)
-        got = sobolev_norm(grid32, project_osc(grid32, U0), -1.0)
+        got = sobolev_norm(grid32, decompose(grid32, U0).osc, -1.0)
         assert abs(got - 0.037) <= 1e-10 * 0.037
 
     def test_balanced_part_independent_of_epsilon(self, grid32):
@@ -50,7 +50,7 @@ class TestMakeWellPreparedData:
         qg_parts = []
         for eps in (0.1, 0.01):
             U0 = make_well_prepared_data(grid32, cfg.with_epsilon(eps))
-            qg_parts.append(project_qg(grid32, U0))
+            qg_parts.append(decompose(grid32, U0).qg)
         scale = np.abs(qg_parts[0]).max()
         assert np.abs(qg_parts[0] - qg_parts[1]).max() <= 1e-14 * scale
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qglab import (
+    Params,
     advect,
-    apply_diffusion,
     biot_savart,
     coriolis_buoyancy,
     decompose,
@@ -15,14 +15,13 @@ from qglab import (
     max_divergence,
     osc_vorticity_source,
     potential_vorticity,
-    project_osc,
-    project_qg,
     qg_diffusion_symbol,
     random_scalar,
     random_state,
     sobolev_norm,
     to_spectral,
 )
+from qglab.pe_solver import _linear_symbols
 
 
 def qg_field(grid, rng):
@@ -98,8 +97,9 @@ class TestProjectors:
         w = 2 * np.pi / g.box_length
         U = np.zeros((4,) + grid32.shape, dtype=complex)
         U[1] = to_spectral(g, np.cos(w * x1))
-        assert l2_norm(project_qg(g, U) - U) / l2_norm(U) <= 1e-12
-        assert l2_norm(project_osc(g, U)) <= 1e-12 * l2_norm(U)
+        dec = decompose(g, U)
+        assert l2_norm(dec.qg - U) / l2_norm(U) <= 1e-12
+        assert l2_norm(dec.osc) <= 1e-12 * l2_norm(U)
 
     def test_pure_oscillating_field(self, grid32):
         # vertical velocity mode has zero potential vorticity
@@ -108,15 +108,16 @@ class TestProjectors:
         w = 2 * np.pi / g.box_length
         U = np.zeros((4,) + grid32.shape, dtype=complex)
         U[2] = to_spectral(g, np.cos(w * x1))
-        assert l2_norm(project_qg(g, U)) <= 1e-13
-        assert l2_norm(project_osc(g, U) - U) <= 1e-13 * l2_norm(U)
+        dec = decompose(g, U)
+        assert l2_norm(dec.qg) <= 1e-13
+        assert l2_norm(dec.osc - U) <= 1e-13 * l2_norm(U)
 
     def test_idempotence(self, grid32, rng):
         U = random_state(grid32, rng)
-        qg = project_qg(grid32, U)
-        osc = project_osc(grid32, U)
-        assert l2_norm(project_qg(grid32, qg) - qg) / l2_norm(qg) <= 1e-12
-        assert l2_norm(project_osc(grid32, osc) - osc) / l2_norm(osc) <= 1e-12
+        dec = decompose(grid32, U)
+        qg, osc = dec.qg, dec.osc
+        assert l2_norm(decompose(grid32, qg).qg - qg) / l2_norm(qg) <= 1e-12
+        assert l2_norm(decompose(grid32, osc).osc - osc) / l2_norm(osc) <= 1e-12
 
     def test_decomposition_contract(self, grid32, rng):
         U = random_state(grid32, rng)
@@ -126,7 +127,7 @@ class TestProjectors:
             l2_norm(potential_vorticity(grid32, dec.osc))
             <= 1e-10 * l2_norm(dec.omega)
         )
-        assert l2_norm(project_qg(grid32, dec.osc)) <= 1e-10 * l2_norm(U)
+        assert l2_norm(decompose(grid32, dec.osc).qg) <= 1e-10 * l2_norm(U)
 
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
     def test_hs_orthogonality(self, grid32, rng, s):
@@ -140,13 +141,13 @@ class TestProjectors:
     def test_skew_coupling_orthogonal_to_osc(self, grid32, rng, s):
         U = random_state(grid32, rng)  # divergence-free
         au = coriolis_buoyancy(U)
-        osc = project_osc(grid32, U)
+        osc = decompose(grid32, U).osc
         bound = 1e-10 * sobolev_norm(grid32, au, s) * sobolev_norm(grid32, osc, s)
         assert abs(hs_inner(grid32, au, osc, s)) <= bound
 
     def test_qg_part_divergence_free(self, grid32, rng):
         U = random_state(grid32, rng, divergence_free=False)
-        assert max_divergence(grid32, project_qg(grid32, U)) <= 1e-10
+        assert max_divergence(grid32, decompose(grid32, U).qg) <= 1e-10
 
 
 class TestCoriolisBuoyancy:
@@ -174,29 +175,6 @@ class TestCoriolisBuoyancy:
             sobolev_norm(grid32, au, 1.0) * sobolev_norm(grid32, U, 1.0)
         )
         assert rel_l2 <= 1e-12 and rel_h1 <= 1e-12
-
-
-class TestDiffusion:
-    def test_equal_viscosities_degenerate(self, grid32, rng):
-        U = random_state(grid32, rng)
-        out = apply_diffusion(grid32, U, 2e-2, 2e-2)
-        ref = -2e-2 * grid32.kd_mag2 * U
-        assert np.abs(out - ref).max() == 0.0
-
-    def test_theta_mode(self, grid32):
-        # theta = sin(w x3) -> L theta = -nu' w^2 sin(w x3)
-        g = grid32
-        _, _, x3 = g.mesh()
-        w = 2 * np.pi / g.box_length
-        U = np.zeros((4,) + grid32.shape, dtype=complex)
-        U[3] = to_spectral(g, np.sin(w * x3))
-        out = apply_diffusion(g, U, 1e-2, 5e-3)
-        expected = -5e-3 * w**2 * np.sin(w * x3)
-        assert np.abs(from_spectral(g, out[3]) - expected).max() < 1e-14
-
-    def test_zero(self, grid32):
-        U = np.zeros((4,) + grid32.shape, dtype=complex)
-        assert l2_norm(apply_diffusion(grid32, U, 1e-2, 5e-3)) == 0.0
 
 
 class TestQGDiffusion:
@@ -231,9 +209,13 @@ class TestQGDiffusion:
         assert np.all(sym <= lower + 1e-15)
 
     def test_matches_projected_full_diffusion_on_qg_fields(self, grid32, rng):
+        # QG(M U) = gamma U on the propagator's M = L - (1/eps) P A: the
+        # rotation term P A U vanishes on balanced U, its QG part with it
         U = qg_field(grid32, rng)
         gam = qg_diffusion_symbol(grid32, 1e-2, 5e-3, 1.0) * U
-        ref = project_qg(grid32, apply_diffusion(grid32, U, 1e-2, 5e-3))
+        M = _linear_symbols(grid32, Params(epsilon=0.05, nu=1e-2, nu_prime=5e-3))
+        mu = np.einsum("mab,bm->am", M, U.reshape(4, -1)).reshape(U.shape)
+        ref = decompose(grid32, mu).qg
         assert l2_norm(gam - ref) / l2_norm(gam) <= 1e-10
 
 

@@ -16,26 +16,26 @@ from qglab import (
     advect,
     build_propagator,
     dealias,
+    decompose,
     energy_check,
     from_spectral,
     l2_norm,
     leray_project,
+    make_well_prepared_data,
     max_divergence,
     pe_run,
     pe_step,
     potential_vorticity,
-    project_osc,
-    project_qg,
     qg_run,
     random_state,
     sobolev_norm,
     to_spectral,
     vorticity_residual,
 )
-from qglab.config import ConfigError, DiagConfig
+from qglab.config import ConfigError, DiagConfig, RunConfig
 from qglab.pe_solver import LinearPropagator, _linear_symbols, _nonlinear
 
-from conftest import half_index
+from half_spectrum import half_index
 
 INVISCID = 1e-30  # positive but exp(-nu k^2 dt) == 1.0 exactly in float64
 
@@ -226,7 +226,8 @@ class TestNonlinear:
         rng = np.random.default_rng([n, int(10 * froude)])
         for _ in range(3):
             U = random_state(grid, rng)
-            U = project_qg(grid, U, froude) + 0.3 * project_osc(grid, U, froude)
+            dec = decompose(grid, U, froude)
+            U = dec.qg + 0.3 * dec.osc
             got = _nonlinear(grid, U)
             want = -leray_project(grid, advect(grid, U[:3], U))
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -358,7 +359,7 @@ class TestPERun:
         U0[1] = to_spectral(g, 0.3 * np.cos(w * x1))
         p = Params(epsilon=0.1, nu=8e-3, nu_prime=8e-3)
         rec = pe_run(g, U0, p, 0.5, 0.005, small_diag())
-        osc = project_osc(g, rec.final_state)
+        osc = decompose(g, rec.final_state).osc
         assert l2_norm(osc) <= 1e-8 * l2_norm(rec.final_state)
         limit = qg_run(g, potential_vorticity(g, U0), p, 0.5, 0.005, small_diag())
         gap = l2_norm(potential_vorticity(g, rec.final_state) - limit.final_state)
@@ -466,7 +467,8 @@ class TestVorticityResidualOnRuns:
         # well-prepared runs whose balance the residual certifies
         p = Params(epsilon=0.1, nu=1e-2, nu_prime=5e-3)
         U0 = random_state(grid16, rng)
-        U0 = project_qg(grid16, U0) + 0.02 * project_osc(grid16, U0)
+        dec = decompose(grid16, U0)
+        U0 = dec.qg + 0.02 * dec.osc
         U0 *= 0.5 / sobolev_norm(grid16, U0, 1.0)
         values = {}
         for dt in (2e-3, 1e-3):
@@ -479,12 +481,27 @@ class TestVorticityResidualOnRuns:
         ratio = values[2e-3].max() / values[1e-3].max()
         assert 2.5 <= ratio <= 6.0
 
+    def test_residual_at_froude_half(self, grid16):
+        # pv(L U_osc) = F (nu - nu') lap d3 theta_osc and the source's theta
+        # terms carry F: without those factors the worst residual here stays
+        # near 5.5e-2 whatever the step
+        cfg = RunConfig(params=Params(epsilon=0.1, nu=1e-2, nu_prime=5e-3, froude=0.5))
+        U0 = make_well_prepared_data(grid16, cfg)
+        worst = {}
+        for dt in (1e-3, 5e-4):
+            rec = pe_run(grid16, U0, cfg.params, 0.1, dt,
+                         small_diag(cadence=10, snapshot_every=10))
+            worst[dt] = vorticity_residual(rec, cfg.params).channel(
+                "vorticity_residual").max()
+        assert worst[1e-3] <= 2e-3
+        assert worst[1e-3] / worst[5e-4] >= 3.5
+
     def test_pure_qg_equal_viscosities_consistency(self, grid16, rng):
         # nu = nu' and balanced data: the source terms vanish and the
         # residual is the limit-equation consistency error, second order in
         # the snapshot spacing and step
         p = Params(epsilon=0.1, nu=8e-3, nu_prime=8e-3)
-        U0 = project_qg(grid16, random_state(grid16, rng))
+        U0 = decompose(grid16, random_state(grid16, rng)).qg
         U0 *= 0.5 / sobolev_norm(grid16, U0, 1.0)
         diag = small_diag(cadence=10, snapshot_every=10)
         rec = pe_run(grid16, U0, p, 0.2, 1e-3, diag)
