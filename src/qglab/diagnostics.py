@@ -45,12 +45,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
+    _osc_diffusion_pv,
     decompose,
     osc_vorticity_source,
     potential_vorticity,
     qg_diffusion_symbol,
 )
-from .spectral import advect, derivative, l2_norm
+from .spectral import advect, l2_norm
 
 __all__ = [
     "S_LIST",
@@ -241,8 +242,7 @@ def vorticity_residual(record, params):
         dt_pv = (pv[i + 1] - pv[i - 1]) / (2.0 * ds)
         adv = advect(grid, U[:3], dec.omega)
         diff = gamma * dec.omega
-        visc = (F * (params.nu - params.nu_prime) * -grid.kd_mag2
-                * derivative(grid, dec.osc[3], 3))
+        visc = _osc_diffusion_pv(grid, dec.osc[3], params.nu, params.nu_prime, F)
         source = osc_vorticity_source(grid, dec.osc, U, dec.qg, F)
         resid = dt_pv + adv - diff - visc - source
         scale = max(map(l2_norm, (dt_pv, adv, diff, visc, source)))

@@ -29,7 +29,9 @@ dissipate vorticity through the order-2 multiplier
 
 which collapses to nu d11 + nu d22 + nu' d33 at F = 1 and to nu*lap when
 nu = nu'. For quasi-geostrophic U the identity gamma(U) = QG(L U) holds mode
-by mode; ``checks.structure_defects`` checks it on that symbol.
+by mode; for any U, pv(L U) = gamma pv(U) + F (nu - nu') lap d3 theta_osc,
+the last term being pv(L U_osc). ``checks.structure_defects`` checks both on
+the propagator's symbol.
 """
 
 from __future__ import annotations
@@ -105,6 +107,12 @@ def qg_diffusion_symbol(grid, nu, nu_prime, froude=1.0):
     num = nu * (grid.kd1**2 + grid.kd2**2) + nu_prime * froude**2 * grid.kd3**2
     den = grid.kd1**2 + grid.kd2**2 + froude**2 * grid.kd3**2
     return np.divide(-grid.kd_mag2 * num, den, out=np.zeros_like(den), where=den > 0)
+
+
+def _osc_diffusion_pv(grid, theta_osc, nu, nu_prime, froude=1.0):
+    """pv(L U_osc) = F (nu - nu') lap d3 theta_osc, since pv(U_osc) = 0: the
+    part of pv(L U) that gamma pv(U) leaves out, zero when nu = nu'."""
+    return froude * (nu - nu_prime) * -grid.kd_mag2 * derivative(grid, theta_osc, 3)
 
 
 def osc_vorticity_source(grid, U_osc, U, U_qg, froude=1.0):

@@ -76,15 +76,17 @@ class BlowUpError(RuntimeError):
 
 def _symbols(kd, params):
     """Real 4x4 symbol of M = L - (1/eps) P A at each row of an (m, 3)
-    wavevector array, shape (m, 4, 4); A is ``coriolis_buoyancy``."""
+    wavevector array, shape (m, 4, 4).
+
+    P A is the solver's own projector, ``spectral._leray_in_place``, run on
+    the columns of A = ``coriolis_buoyancy(np.eye(4), F)`` held once per
+    mode; L = (nu lap v, nu' lap theta) then goes on the diagonal.
+    """
     k2 = np.einsum("mi,mi->m", kd, kd)
-    inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
-
-    proj = np.zeros((kd.shape[0], 4, 4))
-    proj[:, :3, :3] = np.eye(3) - kd[:, :, None] * kd[:, None, :] * inv_k2[:, None, None]
-    proj[:, 3, 3] = 1.0
-
-    m = -(1.0 / params.epsilon) * (proj @ coriolis_buoyancy(np.eye(4), params.froude))
+    a = coriolis_buoyancy(np.eye(4), params.froude)
+    pa = _leray_in_place(kd.T[:, None, :], k2,
+                         np.repeat(a[:, :, None], kd.shape[0], axis=-1))
+    m = -(1.0 / params.epsilon) * np.ascontiguousarray(pa.transpose(2, 0, 1))
     m[:, np.arange(3), np.arange(3)] -= params.nu * k2[:, None]
     m[:, 3, 3] -= params.nu_prime * k2
     return m
@@ -202,7 +204,8 @@ def _nonlinear(grid, U):
         np.multiply(v[j], omega[k], out=prod[i])
         prod[i] -= v[k] * omega[j]
     np.einsum("jxyz,jxyz->xyz", v, grad, out=prod[3])
-    return _leray_in_place(grid, spectral_product(grid, prod))
+    return _leray_in_place((grid.kd1, grid.kd2, grid.kd3), grid.kd_mag2,
+                           spectral_product(grid, prod))
 
 
 def _lawson_rk4(U, h, rhs, expo_half):

@@ -262,14 +262,21 @@ def leray_project(grid, v):
     if v.shape[0] not in (3, 4):
         raise ValueError(f"expected 3 or 4 components, got shape {v.shape}")
     grid.check_shape(v)
-    return _leray_in_place(grid, v.copy())
+    return _leray_in_place((grid.kd1, grid.kd2, grid.kd3), grid.kd_mag2, v.copy())
 
 
-def _leray_in_place(grid, v):
-    """Leray projection of an owned 3- or 4-component array, in place."""
-    kd = (grid.kd1, grid.kd2, grid.kd3)
+def _leray_in_place(kd, k2, v):
+    """Leray projection of an owned 3- or 4-component array, in place:
+    v[:3] -= kd (kd . v[:3]) / k2 wherever k2 > 0, any v[3] untouched.
+
+    ``kd`` holds the three wavevector components and ``k2`` their squared
+    magnitude; each v[i] broadcasts against kd[i] and k2. This is the one
+    projector of the package: ``leray_project``, the solver's N(U) and the
+    per-mode symbol M = L - (1/eps) P A that the propagator exponentiates
+    (``pe_solver._symbols``) all run it.
+    """
     div = kd[0] * v[0] + kd[1] * v[1] + kd[2] * v[2]
-    np.divide(div, grid.kd_mag2, out=div, where=grid.kd_mag2 > 0)
+    np.divide(div, k2, out=div, where=k2 > 0)
     for i in range(3):
         v[i] -= kd[i] * div
     return v

@@ -5,9 +5,10 @@ import numpy as np
 import qglab.operators
 import qglab.pe_solver
 import qglab.qg_solver
-from qglab import Grid, derivative
+from qglab import Grid, derivative, from_spectral
 from qglab.checks import CheckResult, run_all, structure_defects
 from qglab.cli import cli_main
+from qglab.spectral import spectral_product
 
 
 def test_suite_passes_on_small_grid():
@@ -74,6 +75,42 @@ def test_suite_fails_on_swapped_diffusivities(monkeypatch):
                                                nu_prime=params.nu))
 
     monkeypatch.setattr(qglab.pe_solver, "_symbols", swapped)
+    worst = structure_defects(Grid(16), np.random.default_rng(5), 3)
+    assert worst["diffusion identity"] > 1e-10
+    results = {r.name: r for r in run_all(n=16, draws=3, seed=5)}
+    assert not results["QG diffusion = QG projection of full diffusion"].passed
+
+
+def test_suite_fails_on_a_flipped_vorticity_source(monkeypatch):
+    # Chemin's source with its first product, d3 v3_osc (d1 v2 - d2 v1),
+    # sign-flipped: the pv balance of N(U) on every draw must see it
+    source = qglab.operators.osc_vorticity_source
+
+    def flipped(grid, U_osc, U, U_qg, froude=1.0):
+        p = from_spectral(grid, np.stack([
+            derivative(grid, U_osc[2], 3),
+            derivative(grid, U[1], 1) - derivative(grid, U[0], 2)]))
+        return (source(grid, U_osc, U, U_qg, froude)
+                - 2.0 * spectral_product(grid, p[0] * p[1]))
+
+    monkeypatch.setattr(qglab.checks, "osc_vorticity_source", flipped)
+    worst = structure_defects(Grid(16), np.random.default_rng(5), 3)
+    assert worst["transport/vorticity"] > 1e-8
+    results = {r.name: r for r in run_all(n=16, draws=3, seed=5)}
+    assert not results["transport/vorticity commutation on QG fields"].passed
+
+
+def test_suite_fails_on_a_projector_without_its_vertical_term(monkeypatch):
+    # the solver's projector with xi3 v3 dropped from the divergence: the
+    # propagator's symbol runs it, so the diffusion identity must see it
+    def projector(kd, k2, v):
+        div = kd[0] * v[0] + kd[1] * v[1]
+        np.divide(div, k2, out=div, where=k2 > 0)
+        for i in range(3):
+            v[i] -= kd[i] * div
+        return v
+
+    monkeypatch.setattr(qglab.pe_solver, "_leray_in_place", projector)
     worst = structure_defects(Grid(16), np.random.default_rng(5), 3)
     assert worst["diffusion identity"] > 1e-10
     results = {r.name: r for r in run_all(n=16, draws=3, seed=5)}
