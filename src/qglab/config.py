@@ -25,6 +25,9 @@ Documented ranges:
 * diag.cadence: positive steps; diag.snapshot_every: 0 (off) or a positive
   multiple of cadence, for the full and the limit run alike
 * sweep.epsilons: strictly decreasing positive values
+* memory: the estimated peak of a sweep of the config (``_peak_bytes``), the
+  largest run a config drives, must fit in the memory the system reports
+  available
 """
 
 from __future__ import annotations
@@ -193,6 +196,59 @@ def _step_count(t_end, dt):
     return n_steps
 
 
+def _available_bytes():
+    """MemAvailable from /proc/meminfo in bytes; None where it cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+# the interpreter with numpy, scipy and qglab loaded: 64 MB measured on
+# Linux x86-64 with numpy 2.4 and scipy 1.17, rounded up
+_BASE_BYTES = 70e6
+
+
+def _peak_bytes(cfg):
+    """Estimated peak resident bytes of a sweep of ``cfg``, which holds the
+    most of any command: one complex half-spectrum field is 16 n^2 (n/2+1)
+    bytes, one compact band field 16 (2b+1)^2 (b+1) with b = n//3, one
+    physical field 8 n^3.
+
+    * the compact state, the Lawson stages and the transform batch (49 band
+      fields) and the compact 4x4 factor (8 band fields);
+    * the larger of a step's transforms (the 9 inverse fields, scattered
+      and physical, then the 4 products, one temporary and the forward's
+      4-field real pass: 13 half-spectrum and 14 physical fields) and a
+      record (the expanded state, its decomposition and the temporaries of
+      its norms and of the sweep's comparison with the reference run: 25
+      half-spectrum fields);
+    * the grid's tables and cached weights, the initial data's draws and
+      the allocator's slack: 9 half-spectrum fields, fitted to the measured
+      peaks of sweeps at n = 32, 64 and 128;
+    * held records: the initial state and the final state of every epsilon
+      (8 fields each), the reference vorticity at every record (1 field
+      each) and any snapshots (4 fields each, every epsilon). The step count
+      of ``time.dt = auto`` is taken at its least, t_end / dt = 1000.
+    """
+    n, b = cfg.grid.n, cfg.grid.n // 3
+    half, phys = 16 * n * n * (n // 2 + 1), 8 * n**3
+    band = 16 * (2 * b + 1) ** 2 * (b + 1)
+    d, n_eps = cfg.diag, len(cfg.sweep.epsilons)
+    if cfg.time.dt is None:
+        n_steps = math.ceil(1000 / d.cadence) * d.cadence
+    else:
+        n_steps = _step_count(cfg.time.t_end, cfg.time.dt)
+    snapshots = n_steps // d.snapshot_every + 1 if d.snapshot_every else 0
+    held = n_eps * (8 + 4 * snapshots) + n_steps // d.cadence + 1
+    working = 57 * band + max(13 * half + 14 * phys, 25 * half) + 9 * half
+    return _BASE_BYTES + working + held * half
+
+
 def validate_config(cfg):
     """The config-level rules, checked before any grid or data are built."""
     g, t, i, d, s = cfg.grid, cfg.time, cfg.init, cfg.diag, cfg.sweep
@@ -239,4 +295,9 @@ def validate_config(cfg):
         if target > 0 and not np.all(squares < np.inf):
             raise ConfigError(f"{key}: an H^s norm of the initial data would "
                               f"overflow at grid.box_length={g.box_length:g}")
+    need, have = _peak_bytes(cfg), _available_bytes()
+    if have is not None and need > have:
+        raise ConfigError(f"grid.n={g.n}: a sweep of this config, its records "
+                          f"included, needs about {need / 1e9:.2g} GB, more than "
+                          f"the {have / 1e9:.2g} GB of memory available")
     return cfg

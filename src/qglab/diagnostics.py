@@ -153,10 +153,15 @@ def sobolev_norm(grid, f, s):
     s = float(s)
     if not -2.0 <= s <= 3.0:
         raise ValueError(f"s={s} outside the supported range [-2, 3]")
-    # in place: pe_run's records call this while holding a whole decomposition
+    return _weighted_norm(f, grid.norm_weights(s))
+
+
+def _weighted_norm(f, weights):
+    """sqrt(sum weights |f|^2), with one temporary: pe_run's records call
+    this while holding a whole decomposition."""
     a = np.abs(f)
     a *= a
-    a *= grid.norm_weights(s)
+    a *= weights
     return float(np.sqrt(np.sum(a)))
 
 

@@ -14,8 +14,8 @@ are integrated exactly and only advection constrains the step.
 The nonlinear term is taken in rotational form, N(U) = -P(omega x v,
 v . grad theta) with omega = curl v: on the 2/3 band it equals -P(v . grad U)
 (they differ by grad |v|^2 / 2, which P removes) and transforms 13 fields, not 19.
-Its 9-field inverse transform skips, in place, the lines the band leaves at
-zero (see the spectral module doc), with the bits of a full inverse.
+Its 9-field inverse and 4-field forward transforms skip the lines the band
+leaves at zero (see the spectral module doc), with the bits of full ones.
 
 Stepping is the integrating-factor (Lawson) form of classical RK4 with the
 half-step factor Eh = exp(dt/2 M) alone, exp(dt M) = Eh Eh:
@@ -30,7 +30,17 @@ M commutes with rotations about the vertical axis, so Eh at xi is
 R Eh(xi') R^T with xi' = (|xi_h|, 0, xi3) and R = diag(R_phi, 1, 1) turning
 xi' into xi. Eh is therefore built once per class (k1^2 + k2^2, |k3|), by
 batched scaling-and-squaring, which stays accurate where M is non-normal or
-defective, and rotated into each mode of the class.
+defective, and rotated into each mode of the class. One gather-and-rotate
+helper builds the factor at any set of modes: the compact factor a run steps
+with, ``matrix_at`` at every stored mode and the half-spectrum factor of a
+linear ``pe_step``.
+
+Runs step only the 2/3 band, in the compact layout of the spectral module
+doc. The run loop ``_run``, shared with ``qg_solver.qg_run``, makes every
+conversion: it cuts the initial state to the band at entry, its blow-up
+guard reads compact H^s weights, and it expands the state back to the
+half-spectrum once per record, for the record's channels, its snapshot and
+the final state. ``pe_step`` keeps the half-spectrum and converts per call.
 """
 
 from __future__ import annotations
@@ -41,18 +51,16 @@ from functools import partial
 import numpy as np
 import scipy.linalg
 
-from .diagnostics import S_LIST, NormSeries, hs_channel, sobolev_norm
+from .diagnostics import S_LIST, NormSeries, _weighted_norm, hs_channel, sobolev_norm
 from .config import _step_count
 from .operators import coriolis_buoyancy, decompose
 from .spectral import (
+    _band_product,
     _band_to_physical,
     _leray_in_place,
     _require_band,
-    dealias,
     enforce_mean_zero,
-    leray_project,
     max_divergence,
-    spectral_product,
 )
 
 __all__ = [
@@ -103,35 +111,48 @@ def _linear_symbols(grid, params):
     return _symbols(kd, params)
 
 
+def _apply(mats, U):
+    """The per-mode product mats U of a (4, 4) + S factor and a (4,) + S
+    state, in any layout S."""
+    # unrolled 4x4 multiply-accumulate beats einsum/matmul here
+    out = np.empty_like(U)
+    for a in range(4):
+        np.multiply(mats[a, 0], U[0], out=out[a])
+        out[a] += mats[a, 1] * U[1]
+        out[a] += mats[a, 2] * U[2]
+        out[a] += mats[a, 3] * U[3]
+    return out
+
+
 @dataclass
 class LinearPropagator:
     """Per-mode exponentials of the stiff linear symbol.
 
-    ``half`` is a C-contiguous (4, 4, n, n, n//2+1) real array; ``half[a, b]``
-    is the (a, b) entry of exp(dt/2 * M) over the half-spectrum, each mode's
-    matrix its symmetry class's exponential rotated by diag(R_phi, 1, 1)
-    (see :func:`build_propagator`), and exp(dt * M) is applied as two half
-    steps. ``matrix_at(i, j, k)`` recovers the conventional 4x4 matrix of a
-    single mode, 0 <= k <= n/2.
+    ``table`` is the C-contiguous (4, 4, classes) array of exp(dt/2 * M) per
+    symmetry class (see :func:`build_propagator`); ``half`` is the
+    C-contiguous (4, 4, 2b+1, 2b+1, b+1) factor on the 2/3 band in the
+    compact layout of the spectral module doc, the one a run steps with.
+    ``factor_at`` gathers and rotates the factor at any stored modes,
+    exp(dt * M) is applied as two half steps, and ``matrix_at(i, j, k)``
+    recovers the conventional 4x4 matrix of a single mode, 0 <= k <= n/2.
     """
 
     grid: object
     dt: float
+    table: np.ndarray = field(repr=False)
     half: np.ndarray = field(repr=False)
 
+    def factor_at(self, i, j, k):
+        """exp(dt/2 * M) at the stored modes (i, j, k), shape (4, 4) + S for
+        integer index arrays that broadcast to S; built, never cached."""
+        return _gather_rotate(self.grid, self.table, i, j, k)
+
     def apply_half(self, U):
-        # unrolled 4x4 multiply-accumulate beats einsum/matmul here
-        mats = self.half
-        out = np.empty_like(U)
-        for a in range(4):
-            np.multiply(mats[a, 0], U[0], out=out[a])
-            out[a] += mats[a, 1] * U[1]
-            out[a] += mats[a, 2] * U[2]
-            out[a] += mats[a, 3] * U[3]
-        return out
+        """exp(dt/2 * M) U for a state in the compact layout."""
+        return _apply(self.half, U)
 
     def matrix_at(self, i, j, k):
-        m = np.ascontiguousarray(self.half[:, :, i, j, k])
+        m = self.factor_at([i], [j], [k])[..., 0]
         return m @ m
 
 
@@ -148,6 +169,37 @@ def _rotate_pair(x, y, cos, sin):
     y += t
 
 
+def _class_keys(grid):
+    """The integer wavenumbers behind grid.kd* (Nyquist zeroed) and the
+    sorted values of k1^2 + k2^2 they take."""
+    k = grid.k_int.copy()
+    k[grid.n // 2] = 0
+    return k, np.unique(k[:, None] ** 2 + k[None, :] ** 2)
+
+
+def _gather_rotate(grid, table, i, j, k):
+    """The factor at modes (i, j, k) from the per-class ``table``: each mode
+    takes its class's matrix E' at xi' = (|xi_h|, 0, xi3), rotated to
+    R E' R^T with cos phi = xi1 / |xi_h|, sin phi = xi2 / |xi_h| (the
+    identity at xi_h = 0); the k=0 mode maps to 0. C-contiguous."""
+    kint, h2 = _class_keys(grid)
+    i, j, k = np.asarray(i), np.asarray(j), np.asarray(k)
+    cls = (np.searchsorted(h2, kint[i] ** 2 + kint[j] ** 2) * (grid.n // 2)
+           + np.abs(kint[k]))
+    half = np.take(table, cls, axis=-1)
+    kd = grid.kd1.ravel()
+    kd1, kd2 = kd[i], kd[j]
+    h_mag = np.sqrt(kd1**2 + kd2**2)
+    cos = np.divide(kd1, h_mag, out=np.ones_like(h_mag), where=h_mag > 0)
+    sin = np.divide(kd2, h_mag, out=np.zeros_like(h_mag), where=h_mag > 0)
+    for b in range(4):  # R E'
+        _rotate_pair(half[0, b], half[1, b], cos, sin)
+    for a in range(4):  # (R E') R^T
+        _rotate_pair(half[a, 0], half[a, 1], cos, sin)
+    half[:, :, np.broadcast_to((i == 0) & (j == 0) & (k == 0), half.shape[2:])] = 0.0
+    return half
+
+
 def build_propagator(grid, params, dt):
     """Per-mode exponential of (dt/2) * (L - (1/eps) P A); the k=0 mode maps
     to 0. Every call builds a new factor, owned by its caller.
@@ -155,43 +207,33 @@ def build_propagator(grid, params, dt):
     M commutes with rotations about the vertical axis, which act as
     R = diag(R_phi, 1, 1) on (v1, v2, v3, theta). So one ``expm`` per class
     (k1^2 + k2^2, |k3|) of the Nyquist-zeroed integer wavenumbers, taken at
-    xi' = (|xi_h|, 0, xi3), gives every mode of the class as R E' R^T with
-    cos phi = xi1 / |xi_h|, sin phi = xi2 / |xi_h| (the identity at xi_h = 0).
+    xi' = (|xi_h|, 0, xi3), gives every mode of the class by rotation; the
+    class table is kept and rotated into the compact factor.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
 
-    n = grid.n
-    k = grid.k_int.copy()
-    k[n // 2] = 0  # the integer wavenumbers behind grid.kd*
-    h2, h_cls = np.unique(k[:, None] ** 2 + k[None, :] ** 2, return_inverse=True)
-    k3, k3_cls = np.unique(np.abs(k[: n // 2 + 1]), return_inverse=True)
+    _, h2 = _class_keys(grid)
+    k3 = np.arange(grid.n // 2)  # |k3| takes 0 .. n/2 - 1 (Nyquist zeroed)
     scale = 2.0 * np.pi / grid.box_length
     xi = np.zeros((h2.size, k3.size, 3))
     xi[:, :, 0] = scale * np.sqrt(h2)[:, None]
     xi[:, :, 2] = scale * k3
     ec = scipy.linalg.expm((0.5 * float(dt)) * _symbols(xi.reshape(-1, 3), params))
-    # gather from a contiguous (4, 4, classes) table: a C-contiguous factor
-    cls = h_cls.reshape(n, n, 1) * k3.size + k3_cls
-    half = np.take(np.ascontiguousarray(ec.transpose(1, 2, 0)), cls, axis=-1)
-
-    h_mag = np.sqrt(grid.kd1**2 + grid.kd2**2)
-    cos = np.divide(grid.kd1, h_mag, out=np.ones_like(h_mag), where=h_mag > 0)
-    sin = np.divide(grid.kd2, h_mag, out=np.zeros_like(h_mag), where=h_mag > 0)
-    for b in range(4):  # R E'
-        _rotate_pair(half[0, b], half[1, b], cos, sin)
-    for a in range(4):  # (R E') R^T
-        _rotate_pair(half[a, 0], half[a, 1], cos, sin)
-    half[:, :, 0, 0, 0] = 0.0
-    return LinearPropagator(grid=grid, dt=float(dt), half=half)
+    table = np.ascontiguousarray(ec.transpose(1, 2, 0))
+    return LinearPropagator(grid=grid, dt=float(dt), table=table,
+                            half=_gather_rotate(grid, table, *grid._band.index))
 
 
-def _nonlinear(grid, U):
-    """N(U) = -P(omega x v, v . grad theta) for U on the 2/3 band, dealiased
-    and mean-zero; the products v x omega and v . (-grad theta) carry the sign."""
-    ikd = [1j * k for k in (grid.kd1, grid.kd2, grid.kd3)]
+def _nonlinear_band(grid, U):
+    """N(U) = -P(omega x v, v . grad theta) of a compact state, compact,
+    dealiased and mean-zero; the products v x omega and v . (-grad theta)
+    carry the sign."""
+    band = grid._band
+    kd = (band.kd1, band.kd2, band.kd3)
+    ikd = [1j * k for k in kd]
     cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    batch = np.empty((9,) + grid.shape, dtype=np.complex128)  # v, omega, -grad theta
+    batch = np.empty((9,) + band.shape, dtype=np.complex128)  # v, omega, -grad theta
     batch[:3] = U[:3]
     for i, j, k in cyclic:
         np.multiply(ikd[j], U[k], out=batch[3 + i])
@@ -204,8 +246,13 @@ def _nonlinear(grid, U):
         np.multiply(v[j], omega[k], out=prod[i])
         prod[i] -= v[k] * omega[j]
     np.einsum("jxyz,jxyz->xyz", v, grad, out=prod[3])
-    return _leray_in_place((grid.kd1, grid.kd2, grid.kd3), grid.kd_mag2,
-                           spectral_product(grid, prod))
+    return _leray_in_place(kd, band.kd_mag2, _band_product(grid, prod))
+
+
+def _nonlinear(grid, U):
+    """N(U) of a half-spectrum state on the 2/3 band, as a half-spectrum."""
+    band = grid._band
+    return band.expand(_nonlinear_band(grid, band.cut(U)))
 
 
 def _lawson_rk4(U, h, rhs, expo_half):
@@ -220,18 +267,32 @@ def _lawson_rk4(U, h, rhs, expo_half):
     return expo_half(expo_half(U + (h / 6.0) * k1) + (h / 3.0) * k2) + (h / 6.0) * k4
 
 
-def pe_step(U, prop, *, nonlinear=True):
-    """One integrating-factor RK4 step of size prop.dt. A nonlinear step needs
-    U on the 2/3 band (see the module doc) and raises ValueError otherwise."""
-    if nonlinear:
-        _require_band(prop.grid, U, "pe_step")
-        out = _lawson_rk4(U, prop.dt, partial(_nonlinear, prop.grid),
-                          prop.apply_half)
-    else:
-        out = prop.apply_half(prop.apply_half(U))
-    if not np.isfinite(out.view(np.float64)).all():
+def _finite(U):
+    """U, or BlowUpError if any of its values is not finite."""
+    if not np.isfinite(U.view(np.float64)).all():
         raise BlowUpError(float("nan"), "non-finite state after step")
-    return out
+    return U
+
+
+def _band_stepper(prop):
+    """The nonlinear step of compact states, with the finiteness check of
+    ``pe_step`` but not its band check or conversions."""
+    step = partial(_lawson_rk4, h=prop.dt, rhs=partial(_nonlinear_band, prop.grid),
+                   expo_half=prop.apply_half)
+    return lambda U: _finite(step(U))
+
+
+def pe_step(U, prop, *, nonlinear=True):
+    """One integrating-factor RK4 step of size prop.dt of a half-spectrum
+    state. A nonlinear step needs U on the 2/3 band (see the module doc) and
+    raises ValueError otherwise; a linear one applies the half-spectrum
+    factor, built for the call, at every stored mode."""
+    grid = prop.grid
+    if nonlinear:
+        _require_band(grid, U, "pe_step")
+        return grid._band.expand(_band_stepper(prop)(grid._band.cut(U)))
+    full = prop.factor_at(*np.ogrid[:grid.n, :grid.n, :grid.n // 2 + 1])
+    return _finite(_apply(full, _apply(full, U)))
 
 
 @dataclass
@@ -247,21 +308,25 @@ class RunRecord:
     final_state: np.ndarray
 
 
-def _run(grid, params, t_end, dt, diag, state0, *, cut, make_step, guard,
+def _run(grid, params, t_end, dt, diag, state0, *, prepare, make_step, guard,
          channels):
     """The loop of :func:`pe_run` and ``qg_solver.qg_run``: checks the step
-    count and snapshot cadence, builds ``make_step()``, then steps
-    ``cut(state0)``, which no other frame holds. It records ``channels(step,
-    t, state)`` at step 0, every ``diag.cadence`` steps and the end, with a
-    state copy where ``diag.snapshot_every`` divides the step, and raises
-    BlowUpError at the step's time when ``guard = (name, norm)`` leaves 1e6
-    times its start (nan and inf do) or the step raises one."""
+    count and snapshot cadence, builds ``make_step()``, a step on compact
+    states, then steps ``prepare`` of ``state0`` cut to the compact band,
+    which no other frame holds. It records ``channels(step, t, state)`` on
+    the state expanded to the half-spectrum at step 0, every ``diag.cadence``
+    steps and the end, keeping that expansion as the snapshot where
+    ``diag.snapshot_every`` divides the step, and raises BlowUpError at the
+    step's time when ``guard = (name, s)``, an H^s norm, leaves 1e6 times
+    its start (nan and inf do) or the step raises one."""
     n_steps = _step_count(t_end, dt)
     if diag.snapshot_every and diag.snapshot_every % diag.cadence != 0:
         raise ValueError("snapshot_every must be a multiple of the diag cadence")
     step = make_step()
-    state = cut(state0)
-    name, norm = guard
+    band = grid._band
+    state = prepare(band.cut(np.asarray(state0)).astype(np.complex128, copy=False))
+    name, s = guard
+    norm = partial(_weighted_norm, weights=band.cut(grid.norm_weights(s)))
     limit = 1e6 * norm(state)
     series = NormSeries()
     snapshot_times, snapshots = [], []
@@ -276,11 +341,13 @@ def _run(grid, params, t_end, dt, diag, state0, *, cut, make_step, guard,
             if not size <= limit:
                 raise BlowUpError(t, f"{name} grew to {size:.3g}")
         if i % diag.cadence == 0 or i == n_steps:
-            series.append(t, channels(i, t, state))
+            full = band.expand(state)
+            series.append(t, channels(i, t, full))
             if diag.snapshot_every and i % diag.snapshot_every == 0:
                 snapshot_times.append(t)
-                snapshots.append(state.copy())
-    return RunRecord(grid, params, dt, series, snapshot_times, snapshots, state)
+                snapshots.append(full)
+    return RunRecord(grid, params, dt, series, snapshot_times, snapshots,
+                     band.expand(state))
 
 
 def pe_run(grid, U0, params, t_end, dt, diag, *, extra_diag=None):
@@ -298,6 +365,7 @@ def pe_run(grid, U0, params, t_end, dt, diag, *, extra_diag=None):
     """
     U0 = np.asarray(U0)
     grid.check_shape(U0, 4)
+    band = grid._band
 
     def channels(step, t, U):
         values = {}
@@ -312,9 +380,9 @@ def pe_run(grid, U0, params, t_end, dt, diag, *, extra_diag=None):
 
     return _run(
         grid, params, t_end, dt, diag, U0,
-        cut=lambda U: enforce_mean_zero(
-            leray_project(grid, dealias(grid, U.astype(complex)))),
-        make_step=lambda: partial(pe_step, prop=build_propagator(grid, params, dt)),
-        guard=("H^1 norm", partial(sobolev_norm, grid, s=1.0)),
+        prepare=lambda U: enforce_mean_zero(
+            _leray_in_place((band.kd1, band.kd2, band.kd3), band.kd_mag2, U)),
+        make_step=lambda: _band_stepper(build_propagator(grid, params, dt)),
+        guard=("H^1 norm", 1.0),
         channels=channels,
     )

@@ -10,12 +10,16 @@ diffusion multiplier gamma is real and non-positive, so its exponential is a
 plain decay factor per mode; stepping uses the same integrating-factor RK4
 as the full solver, with the diffusion handled exactly and only advection
 entering the stages. The advecting velocity has zero third component, so
-each stage costs four scalar transforms, whose inverse skips the lines the
-2/3 band leaves at zero (see the spectral module doc).
+each stage costs four scalar transforms in and one out, whose passes skip
+the lines the 2/3 band leaves at zero (see the spectral module doc).
 
 The vorticity lives on the 2/3 band: ``qg_run`` cuts ``omega0`` to it, as
 ``pe_run`` cuts U0, and ``qg_step`` and ``qg_rhs`` raise ValueError on a
-field with modes outside it.
+field with modes outside it. ``qg_run`` steps the band in the compact layout
+of the spectral module doc, through the run loop ``pe_solver._run`` that
+makes every conversion, with its inverse-Laplacian symbol and diffusion
+factor built once per run; ``qg_step`` and ``qg_rhs`` keep the half-spectrum
+and convert per call.
 """
 
 from __future__ import annotations
@@ -28,13 +32,12 @@ from .diagnostics import S_LIST, hs_channel, sobolev_norm
 from .operators import biot_savart, qg_diffusion_symbol
 from .pe_solver import _lawson_rk4, _run
 from .spectral import (
+    _anisotropic_symbol,
+    _band_product,
     _band_to_physical,
     _require_band,
-    dealias,
+    _solve_anisotropic,
     enforce_mean_zero,
-    inverse_anisotropic_laplacian,
-    l2_norm,
-    spectral_product,
 )
 
 __all__ = ["qg_rhs", "qg_step", "qg_run"]
@@ -51,9 +54,18 @@ def qg_rhs(grid, omega, params):
 
 def _qg_rhs(grid, omega, froude):
     """qg_rhs without its checks, at Froude number ``froude``."""
-    ikd1, ikd2 = 1j * grid.kd1, 1j * grid.kd2
-    phi = inverse_anisotropic_laplacian(grid, omega, froude)
-    batch = np.empty((4,) + grid.shape, dtype=np.complex128)
+    band = grid._band
+    return band.expand(_qg_rhs_band(grid, band.cut(omega),
+                                    _anisotropic_symbol(band, froude)))
+
+
+def _qg_rhs_band(grid, omega, sym):
+    """-v . grad pv of a compact vorticity, compact; ``sym`` is the compact
+    symbol of the inverse anisotropic Laplacian (``spectral._anisotropic_symbol``)."""
+    band = grid._band
+    ikd1, ikd2 = 1j * band.kd1, 1j * band.kd2
+    phi = _solve_anisotropic(omega, sym)
+    batch = np.empty((4,) + band.shape, dtype=np.complex128)
     np.multiply(-ikd2, phi, out=batch[0])   # v1
     np.multiply(ikd1, phi, out=batch[1])    # v2
     np.multiply(ikd1, omega, out=batch[2])  # d1 pv
@@ -61,14 +73,16 @@ def _qg_rhs(grid, omega, froude):
     p = _band_to_physical(grid, batch)
     prod = np.multiply(p[0], p[2], out=p[0])
     prod += np.multiply(p[1], p[3], out=p[1])
-    return spectral_product(grid, np.negative(prod, out=prod))
+    return _band_product(grid, np.negative(prod, out=prod))
 
 
 def _qg_stepper(grid, dt, params):
-    """qg_step without its checks, as a function of the vorticity."""
+    """The step of compact vorticities, without checks or conversions."""
+    band = grid._band
     sym = qg_diffusion_symbol(grid, params.nu, params.nu_prime, params.froude)
-    return partial(_lawson_rk4, h=dt, rhs=partial(_qg_rhs, grid, froude=params.froude),
-                   expo_half=partial(np.multiply, np.exp(0.5 * dt * sym)))
+    rhs = partial(_qg_rhs_band, grid, sym=_anisotropic_symbol(band, params.froude))
+    return partial(_lawson_rk4, h=dt, rhs=rhs,
+                   expo_half=partial(np.multiply, band.cut(np.exp(0.5 * dt * sym))))
 
 
 def qg_step(grid, omega, dt, params):
@@ -76,7 +90,8 @@ def qg_step(grid, omega, dt, params):
     vorticity on the 2/3 band; ValueError otherwise."""
     grid.check_shape(omega)
     _require_band(grid, omega, "qg_step")
-    return _qg_stepper(grid, dt, params)(omega)
+    band = grid._band
+    return band.expand(_qg_stepper(grid, dt, params)(band.cut(omega)))
 
 
 def qg_run(grid, omega0, params, t_end, dt, diag):
@@ -102,8 +117,8 @@ def qg_run(grid, omega0, params, t_end, dt, diag):
 
     return _run(
         grid, params, t_end, dt, diag, omega0,
-        cut=lambda om: enforce_mean_zero(dealias(grid, om.astype(np.complex128))),
+        prepare=enforce_mean_zero,
         make_step=lambda: _qg_stepper(grid, dt, params),
-        guard=("vorticity L2 norm", l2_norm),
+        guard=("vorticity L2 norm", 0.0),
         channels=channels,
     )

@@ -26,14 +26,26 @@ Quadratic terms are formed pseudo-spectrally and cut with the 2/3 rule
 alias-free for products of two such fields.
 
 Transforms are scipy.fft (pocketfft) calls over the last three axes, one
-batched call per direction for any leading field axes. The solvers' inverse
-transforms take a cheaper route to the same bits: their batches are zero off
-the band, so ``_band_to_physical`` runs the two complex passes in place and
-only on the lines the band reaches (k2 and k3 in the band for the k1 pass,
-k3 in the band for the k2 pass), then the real pass on every line. A line of
-zeros transforms to exact zeros, and each transformed line goes through the
-same pocketfft arithmetic as in ``irfftn``, so the output equals
-``from_spectral``'s bit for bit.
+batched call per direction for any leading field axes.
+
+The solvers step only the band. ``pe_run`` and ``qg_run`` hold their state
+in a private compact layout (``_Band``), shape (..., 2b+1, 2b+1, b+1) with
+b = band_edge: the k1 and k2 rows [0..b, n-b..n-1] in FFT order and the k3
+planes 0..b. Their run loop cuts the initial state to it once and expands
+the state back to the half-spectrum once per record; ``pe_step``, ``qg_step``
+and ``qg_rhs`` convert per call. The compact transforms give the bits of the
+full ones. ``_band_to_physical`` scatters a compact batch into zeros of the
+half-spectrum shape, runs the two complex passes in place and only on the
+lines the band reaches (k2 and k3 in the band for the k1
+pass, k3 in the band for the k2 pass), then the real pass on every line.
+``_band_product`` runs the forward passes the other way round: the real pass
+on every line, the k1 pass on the band's k3 planes and the k2 pass on the
+band's k1 rows, then keeps the band. A line of zeros transforms to exact
+zeros, each transformed line goes through the same pocketfft arithmetic as
+in ``irfftn`` and ``rfftn``, which take their axes in this order, and the
+per-pass 1/n scalings are exact powers of two, so the results equal
+``from_spectral``'s and the band of ``rfftn``'s bit for bit.
+``spectral_product`` is the expansion of ``_band_product``.
 
 The dynamical convention throughout the package is mean-zero: the k=0
 coefficient of every evolved field is pinned to zero.
@@ -42,6 +54,7 @@ coefficient of every evolved field is pinned to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as _fft
@@ -113,6 +126,11 @@ class Grid:
         )
         self._norm_weights = {}
 
+    @cached_property
+    def _band(self):
+        """The compact stepping layout of this grid (see the module doc)."""
+        return _Band(self)
+
     def mesh(self):
         """Physical coordinate arrays x1, x2, x3, each of shape (n, n, n)."""
         x = np.arange(self.n) * (self.box_length / self.n)
@@ -144,6 +162,47 @@ class Grid:
 
     def __repr__(self):
         return f"Grid(n={self.n}, box_length={self.box_length:g})"
+
+
+class _Band:
+    """The 2/3 band of a grid as one compact array, the solvers' private
+    stepping layout: shape (..., 2b+1, 2b+1, b+1) with b = grid.band_edge,
+    k1 and k2 rows [0..b, n-b..n-1] in FFT order, k3 planes 0..b.
+
+    ``kd1/kd2/kd3`` and ``kd_mag2`` are the grid's Nyquist-zeroed tables cut
+    to the band, so every per-mode operation gives the same bits here as on
+    the half-spectrum.
+    """
+
+    def __init__(self, grid):
+        n, b = grid.n, grid.band_edge
+        self.shape = (2 * b + 1, 2 * b + 1, b + 1)
+        self._half_shape = grid.shape
+        self._rows = np.r_[0:b + 1, n - b:n]
+        # (half-spectrum, compact) indices of the four blocks of the band
+        halves = ((slice(0, b + 1), slice(0, b + 1)), (slice(n - b, n), slice(b + 1, None)))
+        self._blocks = [((..., f1, f2, slice(0, b + 1)), (..., c1, c2, slice(None)))
+                        for f1, c1 in halves for f2, c2 in halves]
+        # the half-spectrum indices of the compact modes, broadcastable
+        self.index = (self._rows[:, None, None], self._rows[None, :, None],
+                      np.arange(b + 1))
+        self.kd1 = grid.kd1[self._rows]
+        self.kd2 = grid.kd2[:, self._rows]
+        self.kd3 = grid.kd3[..., :b + 1]
+        self.kd_mag2 = self.cut(grid.kd_mag2)
+
+    def cut(self, f):
+        """The band of half-spectra (..., n, n, n//2+1), as a new compact array."""
+        return f[..., self._rows[:, None], self._rows, :self.shape[-1]]
+
+    def expand(self, c, out=None):
+        """Half-spectra holding the compact ``c`` on the band, written into
+        ``out`` (whose off-band modes are left as they are) or into zeros."""
+        if out is None:
+            out = np.zeros(c.shape[:-3] + self._half_shape, dtype=c.dtype)
+        for full, comp in self._blocks:
+            out[full] = c[comp]
+        return out
 
 
 @dataclass(frozen=True)
@@ -200,19 +259,32 @@ def _in_place(transform, view, **kwargs):
 
 
 def _band_to_physical(grid, batch):
-    """``from_spectral`` of an owned batch of half-spectra that is zero off
-    the 2/3 band, bit for bit; the batch is overwritten.
+    """``from_spectral`` of the half-spectra whose band is the compact
+    ``batch``, bit for bit.
 
-    The k1 pass runs on the two band blocks of k2 within the band's k3
-    planes, the k2 pass on the band's k3 planes; every other line of those
-    passes is zero in and zero out.
+    The batch is scattered into zeros, and the passes run in place there:
+    the k1 pass on the two band blocks of k2 within the band's k3 planes,
+    the k2 pass on the band's k3 planes; every other line of those passes
+    is zero in and zero out.
     """
     n, b = grid.n, grid.band_edge
-    _in_place(_fft.ifftn, batch[..., :b + 1, :b + 1], axes=(-3,))
-    _in_place(_fft.ifftn, batch[..., n - b:, :b + 1], axes=(-3,))
-    _in_place(_fft.ifftn, batch[..., :b + 1], axes=(-2,))
-    return _fft.irfftn(batch, s=(n,), axes=(-1,), norm="forward",
+    full = grid._band.expand(batch)
+    _in_place(_fft.ifftn, full[..., :b + 1, :b + 1], axes=(-3,))
+    _in_place(_fft.ifftn, full[..., n - b:, :b + 1], axes=(-3,))
+    _in_place(_fft.ifftn, full[..., :b + 1], axes=(-2,))
+    return _fft.irfftn(full, s=(n,), axes=(-1,), norm="forward",
                        overwrite_x=True)
+
+
+def _band_product(grid, prod):
+    """The dealiased mean-zero band of a physical-space product, compact,
+    with the bits of ``rfftn`` (see the module doc)."""
+    n, b = grid.n, grid.band_edge
+    out = _fft.rfftn(prod, axes=(-1,), norm="forward")
+    _in_place(_fft.fft, out[..., :b + 1], axis=-3)
+    _in_place(_fft.fft, out[..., :b + 1, :, :b + 1], axis=-2)
+    _in_place(_fft.fft, out[..., n - b:, :, :b + 1], axis=-2)
+    return enforce_mean_zero(grid._band.cut(out))
 
 
 def _require_band(grid, f, who):
@@ -238,12 +310,21 @@ def derivative(grid, f, axis):
     return 1j * kd * f
 
 
+def _anisotropic_symbol(tables, froude):
+    """xi1^2 + xi2^2 + F^2 xi3^2 on the wavevector tables of a Grid or of
+    its compact band, minus the symbol of d11 + d22 + F^2 d33."""
+    return tables.kd1**2 + tables.kd2**2 + froude**2 * tables.kd3**2
+
+
+def _solve_anisotropic(f, sym):
+    """-f / sym where sym > 0, and 0 elsewhere."""
+    return np.divide(-f, sym, out=np.zeros_like(f), where=sym > 0)
+
+
 def inverse_anisotropic_laplacian(grid, f, froude=1.0):
     """Invert d11 + d22 + F^2 d33; the k=0 mode (and any mode the
     Nyquist-zeroed symbol cannot see) maps to zero."""
-    sym = grid.kd1**2 + grid.kd2**2 + froude**2 * grid.kd3**2
-    out = np.divide(-f, sym, out=np.zeros_like(f), where=sym > 0)
-    return out
+    return _solve_anisotropic(f, _anisotropic_symbol(grid, froude))
 
 
 def dealias(grid, f):
@@ -284,9 +365,7 @@ def _leray_in_place(kd, k2, v):
 
 def spectral_product(grid, prod):
     """Dealiased mean-zero half-spectrum of a physical-space product."""
-    out = _fft.rfftn(prod, axes=_AXES, norm="forward")
-    out *= grid.dealias_mask
-    return enforce_mean_zero(out)
+    return grid._band.expand(_band_product(grid, prod))
 
 
 def advect(grid, v, U):

@@ -80,6 +80,29 @@ class TestConfigParsing:
         assert len(lines) == 16
         assert parse_config_text("\n".join(lines)) == cfg
 
+    def test_memory_preflight(self, monkeypatch):
+        # the estimate grows with n and with the records a sweep holds, and
+        # only a config that cannot fit is refused; no reading, no refusal
+        monkeypatch.setattr(qglab.config, "_available_bytes", lambda: 8e9)
+        short = "time.dt = 1e-3\ntime.t_end = 0.02\n"
+        peaks = [qglab.config._peak_bytes(parse_config_text(f"grid.n = {n}\n" + short))
+                 for n in (16, 32, 64, 128)]
+        assert all(a < b for a, b in zip(peaks, peaks[1:]))
+        assert (qglab.config._peak_bytes(parse_config_text("grid.n = 64\n"))
+                > qglab.config._peak_bytes(parse_config_text("grid.n = 64\n" + short)))
+        parse_config_text("grid.n = 128\n")
+        with pytest.raises(ConfigError, match="grid.n=256"):
+            parse_config_text("grid.n = 256\n" + short)
+        monkeypatch.setattr(qglab.config, "_available_bytes", lambda: None)
+        parse_config_text("grid.n = 256\n" + short)
+
+    def test_available_memory_reads_meminfo(self):
+        have = qglab.config._available_bytes()
+        if os.path.exists("/proc/meminfo"):
+            assert have > 0
+        else:
+            assert have is None
+
     def test_params_range_error_names_the_key(self):
         with pytest.raises(ConfigError, match="params.nu_prime"):
             parse_config_text("params.nu_prime = -1")
@@ -255,6 +278,23 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and "grid.box_length" in err
+
+    @pytest.mark.parametrize("command", ["run-pe", "sweep"])
+    def test_config_beyond_available_memory_rejected_before_the_grid(
+        self, command, config_path, tmp_path, capsys, monkeypatch
+    ):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("Grid built before the config was checked")
+
+        monkeypatch.setattr(qglab.cli, "Grid", no_grid)
+        monkeypatch.setattr(qglab.sweep, "Grid", no_grid)
+        monkeypatch.setattr(qglab.config, "_available_bytes", lambda: 200e6)
+        code = cli_main([command, "--config", str(config_path),
+                         "--out", str(tmp_path / "out"), "--override", "grid.n=64"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: grid.n=64: ") and "GB" in err
+        assert not (tmp_path / "out").exists()
 
     def test_run_pe(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"

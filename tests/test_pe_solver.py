@@ -4,7 +4,6 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.fft
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
@@ -18,7 +17,6 @@ from qglab import (
     dealias,
     decompose,
     energy_check,
-    from_spectral,
     l2_norm,
     leray_project,
     make_well_prepared_data,
@@ -33,9 +31,9 @@ from qglab import (
     vorticity_residual,
 )
 from qglab.config import ConfigError, DiagConfig, RunConfig
-from qglab.pe_solver import LinearPropagator, _linear_symbols, _nonlinear
+from qglab.pe_solver import _linear_symbols, _nonlinear
 
-from half_spectrum import half_index
+from half_spectrum import count_fields, half_index, patch_full_transforms
 
 INVISCID = 1e-30  # positive but exp(-nu k^2 dt) == 1.0 exactly in float64
 
@@ -132,8 +130,11 @@ class TestPropagator:
         p = Params(epsilon=0.03, nu=1e-2, nu_prime=3e-3, froude=froude)
         dt = 0.01
         prop = build_propagator(grid, p, dt)
-        assert prop.half.flags.c_contiguous
-        got = np.moveaxis(prop.half, (0, 1), (-2, -1))
+        full = prop.factor_at(*np.ogrid[:n, :n, :n // 2 + 1])
+        assert full.flags.c_contiguous and prop.half.flags.c_contiguous
+        # the compact factor a run steps with is the band of the full one
+        assert np.array_equal(prop.half, grid._band.cut(full))
+        got = np.moveaxis(full, (0, 1), (-2, -1))
         want = scipy.linalg.expm((dt / 2) * _linear_symbols(grid, p))
         want = want.reshape(grid.shape + (4, 4))
         want[0, 0, 0] = 0.0
@@ -204,8 +205,9 @@ class TestPropagator:
     def test_divergence_free_subspace_invariant(self, grid8, params):
         prop = build_propagator(grid8, params, 0.05)
         rng = np.random.default_rng(8)
-        U = random_state(grid8, rng)
-        out = prop.apply_half(prop.apply_half(U))
+        band = grid8._band
+        U = band.cut(random_state(grid8, rng))
+        out = band.expand(prop.apply_half(prop.apply_half(U)))
         assert max_divergence(grid8, out) <= 1e-12
 
     def test_rejects_nonpositive_dt(self, grid8, params):
@@ -237,41 +239,34 @@ class TestNonlinear:
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_pruned_inverse_is_bit_identical(self, n, monkeypatch):
-        # the reference takes the full irfftn of the same batch
+        # the reference takes the full irfftn and the masked rfftn of the
+        # same batches, in place of both compact passes
         grid = Grid(n)
         U = random_state(grid, np.random.default_rng(n))
         got = _nonlinear(grid, U)
-        monkeypatch.setattr(qglab.pe_solver, "_band_to_physical",
-                            lambda g, batch: from_spectral(g, batch))
+        patch_full_transforms(monkeypatch, qglab.pe_solver)
         assert np.array_equal(got, _nonlinear(grid, U))
 
     def test_transform_and_apply_counts(self, grid8, params, monkeypatch):
         # 9 fields in and 4 out per evaluation, 4 evaluations per step;
         # the half-step factor is applied 5 times, the full step is 2 halves
-        fields, applies = [], []
-
-        def counting(fn):
-            def wrapper(x, *args, **kwargs):
-                fields.append(int(np.prod(np.shape(x)[:-3])))
-                return fn(x, *args, **kwargs)
-            return wrapper
-
-        def apply_half(self, U):
-            applies.append(1)
-            return original(self, U)
-
         prop = build_propagator(grid8, params, 0.01)
         U = random_state(grid8, np.random.default_rng(2))
-        original = LinearPropagator.apply_half
-        monkeypatch.setattr(LinearPropagator, "apply_half", apply_half)
-        for name in ("irfftn", "rfftn"):
-            monkeypatch.setattr(scipy.fft, name, counting(getattr(scipy.fft, name)))
-        pe_step(U, prop)
-        assert (sum(fields), len(applies)) == (4 * (9 + 4), 5)
-        fields.clear()
+        applies = []
+        apply = qglab.pe_solver._apply
+
+        def counting_apply(mats, V):
+            applies.append(1)
+            return apply(mats, V)
+
+        monkeypatch.setattr(qglab.pe_solver, "_apply", counting_apply)
+        with count_fields(monkeypatch) as fields:
+            pe_step(U, prop)
+        assert (fields(), len(applies)) == (4 * (9 + 4), 5)
         applies.clear()
-        pe_step(U, prop, nonlinear=False)
-        assert (sum(fields), len(applies)) == (0, 2)
+        with count_fields(monkeypatch) as fields:
+            pe_step(U, prop, nonlinear=False)
+        assert (fields(), len(applies)) == (0, 2)
 
 
 class TestPEStep:
@@ -321,8 +316,51 @@ class TestPEStep:
         got = U[:, idx[0], idx[1], idx[2]]
         assert np.abs(got - w).max() <= 1e-8 * np.abs(w).max()
 
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_linear_step_at_off_band_modes(self, n):
+        # the half-spectrum factor a linear step builds reaches |k_j| = n/2 - 1,
+        # where the benchmark's propagator oracle draws modes
+        grid = Grid(n)
+        p = Params(epsilon=0.01, nu=1e-2, nu_prime=5e-3, froude=0.5)
+        prop = build_propagator(grid, p, 1e-3)
+        top = n // 2 - 1
+        modes = [(top, 1, top), (n - top, top, 2), (3, n - top, 0), (n - top, n - top, top)]
+        rng = np.random.default_rng(n)
+        U = np.zeros((4,) + grid.shape, dtype=complex)
+        for idx in modes:
+            U[(slice(None),) + idx] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        out = pe_step(U, prop, nonlinear=False)
+        for idx in modes:
+            want = prop.matrix_at(*idx) @ U[(slice(None),) + idx]
+            got = out[(slice(None),) + idx]
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            out[(slice(None),) + idx] = 0.0
+        assert not np.any(out)
+
 
 class TestPERun:
+    @pytest.mark.parametrize("froude", [1.0, 0.5])
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_run_is_a_loop_of_public_steps(self, n, froude):
+        # the compact run loop against pe_step on the half-spectrum, bit for bit
+        grid = Grid(n)
+        p = Params(epsilon=0.02, nu=1e-2, nu_prime=5e-3, froude=froude)
+        U0 = make_well_prepared_data(grid, RunConfig(params=p))
+        rec = pe_run(grid, U0, p, 0.02, 1e-3, small_diag(cadence=5, snapshot_every=5))
+        prop = build_propagator(grid, p, 1e-3)
+        U = leray_project(grid, dealias(grid, U0))
+        U[:, 0, 0, 0] = 0.0
+        states = [U]
+        for _ in range(20):
+            U = pe_step(U, prop)
+            states.append(U)
+        assert rec.snapshot_times == [0.0, 0.005, 0.01, 0.015, 0.02]
+        assert all(np.array_equal(got, want)
+                   for got, want in zip(rec.snapshots, states[::5], strict=True))
+        assert np.array_equal(rec.final_state, states[-1])
+        assert list(rec.series.channel("hs_U_1")) == [
+            sobolev_norm(grid, W, 1.0) for W in states[::5]]
+
     def test_zero_initial_data(self, grid8, params):
         U0 = np.zeros((4,) + grid8.shape, dtype=complex)
         rec = pe_run(grid8, U0, params, 0.1, 0.01, small_diag())
@@ -438,7 +476,7 @@ class TestPERun:
                                                       monkeypatch, system):
         # the run loop must hold the only reference to the state it cut, so a
         # large run carries no extra state for its whole length
-        module, attr = {"pe": (qglab.pe_solver, "pe_step"),
+        module, attr = {"pe": (qglab.pe_solver, "_lawson_rk4"),
                         "qg": (qglab.qg_solver, "_lawson_rk4")}[system]
         original = getattr(module, attr)
         first, alive_at_step_2 = [], []

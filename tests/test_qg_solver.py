@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.fft
 
 import qglab.qg_solver
 from qglab import (
@@ -10,7 +9,6 @@ from qglab import (
     biot_savart,
     dealias,
     energy_check,
-    from_spectral,
     l2_inner,
     l2_norm,
     potential_vorticity,
@@ -19,9 +17,12 @@ from qglab import (
     qg_run,
     qg_step,
     random_scalar,
+    sobolev_norm,
     to_spectral,
 )
 from qglab.config import DiagConfig
+
+from half_spectrum import count_fields, patch_full_transforms
 
 
 def diag(cadence=10, snapshot_every=0):
@@ -65,12 +66,12 @@ class TestQGRhs:
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_pruned_inverse_is_bit_identical(self, n, params, monkeypatch):
-        # the reference takes the full irfftn of the same batch
+        # the reference takes the full irfftn and the masked rfftn of the
+        # same batches, in place of both compact passes
         grid = Grid(n)
         om = random_scalar(grid, np.random.default_rng(n))
         got = qg_rhs(grid, om, params)
-        monkeypatch.setattr(qglab.qg_solver, "_band_to_physical",
-                            lambda g, batch: from_spectral(g, batch))
+        patch_full_transforms(monkeypatch, qglab.qg_solver)
         assert np.array_equal(got, qg_rhs(grid, om, params))
 
     def test_rejects_off_band_vorticity(self, grid16, params):
@@ -109,22 +110,31 @@ class TestQGStep:
 
     def test_transform_counts(self, grid8, params, monkeypatch):
         # 4 fields in and 1 out per evaluation, 4 evaluations per step
-        fields = []
-
-        def counting(fn):
-            def wrapper(x, *args, **kwargs):
-                fields.append(int(np.prod(np.shape(x)[:-3])))
-                return fn(x, *args, **kwargs)
-            return wrapper
-
         om = random_scalar(grid8, np.random.default_rng(2))
-        for name in ("irfftn", "rfftn"):
-            monkeypatch.setattr(scipy.fft, name, counting(getattr(scipy.fft, name)))
-        qg_step(grid8, om, 0.01, params)
-        assert sum(fields) == 4 * (4 + 1)
+        with count_fields(monkeypatch) as fields:
+            qg_step(grid8, om, 0.01, params)
+        assert fields() == 4 * (4 + 1)
 
 
 class TestQGRun:
+    @pytest.mark.parametrize("froude", [1.0, 0.5])
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_run_is_a_loop_of_public_steps(self, n, froude):
+        # the compact run loop against qg_step on the half-spectrum, bit for bit
+        grid = Grid(n)
+        p = Params(epsilon=0.02, nu=1e-2, nu_prime=5e-3, froude=froude)
+        om = dealias(grid, random_scalar(grid, np.random.default_rng([n, 3])))
+        rec = qg_run(grid, om, p, 0.02, 1e-3, diag(cadence=5, snapshot_every=5))
+        states = [om]
+        for _ in range(20):
+            om = qg_step(grid, om, 1e-3, p)
+            states.append(om)
+        assert all(np.array_equal(got, want)
+                   for got, want in zip(rec.snapshots, states[::5], strict=True))
+        assert np.array_equal(rec.final_state, states[-1])
+        assert list(rec.series.channel("hs_omega_1")) == [
+            sobolev_norm(grid, w, 1.0) for w in states[::5]]
+
     def test_zero_run(self, grid16, params):
         om0 = np.zeros(grid16.shape, dtype=complex)
         rec = qg_run(grid16, om0, params, 0.1, 0.01, diag())

@@ -20,7 +20,12 @@ from qglab import (
     sobolev_norm,
     to_spectral,
 )
-from qglab.spectral import _band_to_physical, _require_band
+from qglab.spectral import (
+    _band_product,
+    _band_to_physical,
+    _require_band,
+    spectral_product,
+)
 
 
 class TestGrid:
@@ -315,13 +320,33 @@ def band_edge_batch(grid, lead, rng):
     return f
 
 
+class TestBandLayout:
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_cut_expand_round_trip(self, n):
+        g = Grid(n)
+        band = g._band
+        b = g.band_edge
+        assert band.shape == (2 * b + 1, 2 * b + 1, b + 1)
+        rng = np.random.default_rng(n)
+        f = to_spectral(g, rng.standard_normal((2,) + (n,) * 3))
+        c = band.cut(f)
+        assert c.shape == (2,) + band.shape
+        # the cut keeps exactly the band: its expansion is the 2/3 cut
+        assert np.array_equal(band.expand(c), dealias(g, f))
+        assert np.array_equal(band.cut(band.expand(c)), c)
+        for name in ("kd1", "kd2", "kd3", "kd_mag2"):
+            table = np.broadcast_to(getattr(g, name), g.shape)
+            assert np.array_equal(np.broadcast_to(getattr(band, name), band.shape),
+                                  band.cut(table))
+
+
 class TestBandToPhysical:
     @pytest.mark.parametrize("lead", [(4,), (9,)])
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_bit_identical_to_from_spectral(self, n, lead):
         g = Grid(n)
         f = band_edge_batch(g, lead, np.random.default_rng([n, lead[0]]))
-        assert np.array_equal(_band_to_physical(g, f.copy()), from_spectral(g, f))
+        assert np.array_equal(_band_to_physical(g, g._band.cut(f)), from_spectral(g, f))
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_copy_back_when_scipy_returns_a_new_array(self, n, monkeypatch):
@@ -336,8 +361,20 @@ class TestBandToPhysical:
         monkeypatch.setattr(scipy.fft, "ifftn", fresh)
         g = Grid(n)
         f = band_edge_batch(g, (4,), np.random.default_rng(n))
-        assert np.array_equal(_band_to_physical(g, f.copy()), from_spectral(g, f))
+        assert np.array_equal(_band_to_physical(g, g._band.cut(f)), from_spectral(g, f))
         assert len(calls) == 3
+
+
+class TestBandProduct:
+    @pytest.mark.parametrize("lead", [(), (4,)])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_bit_identical_to_masked_rfftn(self, n, lead):
+        g = Grid(n)
+        prod = np.random.default_rng([n, len(lead)]).standard_normal(lead + (n,) * 3)
+        want = to_spectral(g, prod) * g.dealias_mask
+        want[..., 0, 0, 0] = 0.0
+        assert np.array_equal(g._band.expand(_band_product(g, prod)), want)
+        assert np.array_equal(spectral_product(g, prod), want)
 
 
 class TestRequireBand:
