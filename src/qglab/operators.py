@@ -103,7 +103,8 @@ def coriolis_buoyancy(U, froude=1.0):
 
 
 def qg_diffusion_symbol(grid, nu, nu_prime, froude=1.0):
-    """Real multiplier of the limit-system vorticity diffusion (<= 0)."""
+    """Real multiplier of the limit-system vorticity diffusion (<= 0), on the
+    wavevector tables of a Grid or of its compact band."""
     num = nu * (grid.kd1**2 + grid.kd2**2) + nu_prime * froude**2 * grid.kd3**2
     den = grid.kd1**2 + grid.kd2**2 + froude**2 * grid.kd3**2
     return np.divide(-grid.kd_mag2 * num, den, out=np.zeros_like(den), where=den > 0)

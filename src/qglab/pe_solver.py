@@ -28,12 +28,12 @@ half-step factor Eh = exp(dt/2 M) alone, exp(dt M) = Eh Eh:
 
 M commutes with rotations about the vertical axis, so Eh at xi is
 R Eh(xi') R^T with xi' = (|xi_h|, 0, xi3) and R = diag(R_phi, 1, 1) turning
-xi' into xi. Eh is therefore built once per class (k1^2 + k2^2, |k3|), by
-batched scaling-and-squaring, which stays accurate where M is non-normal or
-defective, and rotated into each mode of the class. One gather-and-rotate
-helper builds the factor at any set of modes: the compact factor a run steps
-with, ``matrix_at`` at every stored mode and the half-spectrum factor of a
-linear ``pe_step``.
+xi' into xi. Eh is therefore built once per class (k1^2 + k2^2, |k3|) of the
+modes asked for, by batched scaling-and-squaring, which stays accurate where
+M is non-normal or defective, and rotated into each mode of the class. One
+builder, ``_factor``, makes the factor at any set of modes: the compact
+factor a run steps with, the one mode of ``matrix_at`` and the half-spectrum
+factor of a linear ``pe_step``; nothing off the band is held.
 
 Runs step only the 2/3 band, in the compact layout of the spectral module
 doc. The run loop ``_run``, shared with ``qg_solver.qg_run``, makes every
@@ -128,24 +128,24 @@ def _apply(mats, U):
 class LinearPropagator:
     """Per-mode exponentials of the stiff linear symbol.
 
-    ``table`` is the C-contiguous (4, 4, classes) array of exp(dt/2 * M) per
-    symmetry class (see :func:`build_propagator`); ``half`` is the
-    C-contiguous (4, 4, 2b+1, 2b+1, b+1) factor on the 2/3 band in the
-    compact layout of the spectral module doc, the one a run steps with.
-    ``factor_at`` gathers and rotates the factor at any stored modes,
-    exp(dt * M) is applied as two half steps, and ``matrix_at(i, j, k)``
-    recovers the conventional 4x4 matrix of a single mode, 0 <= k <= n/2.
+    ``half`` is the C-contiguous (4, 4, 2b+1, 2b+1, b+1) factor
+    exp(dt/2 * M) on the 2/3 band in the compact layout of the spectral
+    module doc, the one a run steps with, and the only array held.
+    ``factor_at`` builds the factor at any stored modes from ``params`` and
+    ``dt``, exp(dt * M) is applied as two half steps, and
+    ``matrix_at(i, j, k)`` recovers the conventional 4x4 matrix of a single
+    mode, 0 <= k <= n/2.
     """
 
     grid: object
+    params: object
     dt: float
-    table: np.ndarray = field(repr=False)
     half: np.ndarray = field(repr=False)
 
     def factor_at(self, i, j, k):
         """exp(dt/2 * M) at the stored modes (i, j, k), shape (4, 4) + S for
         integer index arrays that broadcast to S; built, never cached."""
-        return _gather_rotate(self.grid, self.table, i, j, k)
+        return _factor(self.grid, self.params, self.dt, i, j, k)
 
     def apply_half(self, U):
         """exp(dt/2 * M) U for a state in the compact layout."""
@@ -169,24 +169,31 @@ def _rotate_pair(x, y, cos, sin):
     y += t
 
 
-def _class_keys(grid):
-    """The integer wavenumbers behind grid.kd* (Nyquist zeroed) and the
-    sorted values of k1^2 + k2^2 they take."""
-    k = grid.k_int.copy()
-    k[grid.n // 2] = 0
-    return k, np.unique(k[:, None] ** 2 + k[None, :] ** 2)
+def _factor(grid, params, dt, i, j, k):
+    """exp(dt/2 * M) at the stored modes (i, j, k), integer index arrays
+    that broadcast to S, with 0 <= k <= n/2; shape (4, 4) + S, C-contiguous,
+    and the k=0 mode maps to 0.
 
-
-def _gather_rotate(grid, table, i, j, k):
-    """The factor at modes (i, j, k) from the per-class ``table``: each mode
-    takes its class's matrix E' at xi' = (|xi_h|, 0, xi3), rotated to
-    R E' R^T with cos phi = xi1 / |xi_h|, sin phi = xi2 / |xi_h| (the
-    identity at xi_h = 0); the k=0 mode maps to 0. C-contiguous."""
-    kint, h2 = _class_keys(grid)
+    One batched ``expm`` per class (k1^2 + k2^2, |k3|) of the modes'
+    Nyquist-zeroed integer wavenumbers, taken at xi' = (|xi_h|, 0, xi3), and
+    each mode takes its class's matrix E' rotated to R E' R^T with
+    cos phi = xi1 / |xi_h|, sin phi = xi2 / |xi_h| (the identity at xi_h = 0).
+    """
     i, j, k = np.asarray(i), np.asarray(j), np.asarray(k)
-    cls = (np.searchsorted(h2, kint[i] ** 2 + kint[j] ** 2) * (grid.n // 2)
-           + np.abs(kint[k]))
-    half = np.take(table, cls, axis=-1)
+    nh = grid.n // 2
+    if np.any(k < 0) or np.any(k > nh):
+        raise ValueError(f"k3 index must lie in 0..{nh}")
+    kint = grid.k_int.copy()
+    kint[nh] = 0
+    key = (kint[i] ** 2 + kint[j] ** 2) * nh + np.abs(kint[k])  # |k3| < n/2
+    keys, cls = np.unique(key.ravel(), return_inverse=True)
+    xi = np.zeros((keys.size, 3))
+    xi[:, 0] = np.sqrt(keys // nh)
+    xi[:, 2] = keys % nh
+    xi *= 2.0 * np.pi / grid.box_length
+    ec = scipy.linalg.expm((0.5 * float(dt)) * _symbols(xi, params))
+    half = np.take(np.ascontiguousarray(ec.transpose(1, 2, 0)),
+                   cls.reshape(key.shape), axis=-1)
     kd = grid.kd1.ravel()
     kd1, kd2 = kd[i], kd[j]
     h_mag = np.sqrt(kd1**2 + kd2**2)
@@ -201,28 +208,13 @@ def _gather_rotate(grid, table, i, j, k):
 
 
 def build_propagator(grid, params, dt):
-    """Per-mode exponential of (dt/2) * (L - (1/eps) P A); the k=0 mode maps
-    to 0. Every call builds a new factor, owned by its caller.
-
-    M commutes with rotations about the vertical axis, which act as
-    R = diag(R_phi, 1, 1) on (v1, v2, v3, theta). So one ``expm`` per class
-    (k1^2 + k2^2, |k3|) of the Nyquist-zeroed integer wavenumbers, taken at
-    xi' = (|xi_h|, 0, xi3), gives every mode of the class by rotation; the
-    class table is kept and rotated into the compact factor.
-    """
+    """The :class:`LinearPropagator` of (dt/2) * (L - (1/eps) P A), its
+    factor built by ``_factor`` on the 2/3 band; every call builds a new
+    one, owned by its caller."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-
-    _, h2 = _class_keys(grid)
-    k3 = np.arange(grid.n // 2)  # |k3| takes 0 .. n/2 - 1 (Nyquist zeroed)
-    scale = 2.0 * np.pi / grid.box_length
-    xi = np.zeros((h2.size, k3.size, 3))
-    xi[:, :, 0] = scale * np.sqrt(h2)[:, None]
-    xi[:, :, 2] = scale * k3
-    ec = scipy.linalg.expm((0.5 * float(dt)) * _symbols(xi.reshape(-1, 3), params))
-    table = np.ascontiguousarray(ec.transpose(1, 2, 0))
-    return LinearPropagator(grid=grid, dt=float(dt), table=table,
-                            half=_gather_rotate(grid, table, *grid._band.index))
+    return LinearPropagator(grid=grid, params=params, dt=float(dt),
+                            half=_factor(grid, params, dt, *grid._band.index))
 
 
 def _nonlinear_band(grid, U):
@@ -288,6 +280,8 @@ def pe_step(U, prop, *, nonlinear=True):
     raises ValueError otherwise; a linear one applies the half-spectrum
     factor, built for the call, at every stored mode."""
     grid = prop.grid
+    U = np.asarray(U)
+    grid.check_shape(U, 4)
     if nonlinear:
         _require_band(grid, U, "pe_step")
         return grid._band.expand(_band_stepper(prop)(grid._band.cut(U)))

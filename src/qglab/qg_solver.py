@@ -79,15 +79,16 @@ def _qg_rhs_band(grid, omega, sym):
 def _qg_stepper(grid, dt, params):
     """The step of compact vorticities, without checks or conversions."""
     band = grid._band
-    sym = qg_diffusion_symbol(grid, params.nu, params.nu_prime, params.froude)
+    sym = qg_diffusion_symbol(band, params.nu, params.nu_prime, params.froude)
     rhs = partial(_qg_rhs_band, grid, sym=_anisotropic_symbol(band, params.froude))
     return partial(_lawson_rk4, h=dt, rhs=rhs,
-                   expo_half=partial(np.multiply, band.cut(np.exp(0.5 * dt * sym))))
+                   expo_half=partial(np.multiply, np.exp(0.5 * dt * sym)))
 
 
 def qg_step(grid, omega, dt, params):
     """One integrating-factor RK4 step with the exact diffusion factor, of a
     vorticity on the 2/3 band; ValueError otherwise."""
+    omega = np.asarray(omega)
     grid.check_shape(omega)
     _require_band(grid, omega, "qg_step")
     band = grid._band

@@ -143,7 +143,8 @@ class TestPropagator:
         assert np.all(err <= 1e-13 * np.abs(want).max(axis=(-2, -1)))
 
     def test_one_expm_per_symmetry_class(self, grid32, params, monkeypatch):
-        # (k1^2 + k2^2, |k3|) takes 120 x 16 values on the 17408 stored modes
+        # (k1^2 + k2^2, |k3|) takes 671 values on the 4851 band modes the
+        # build covers, and 120 x 16 on the 17408 stored modes
         batches = []
         expm = scipy.linalg.expm
 
@@ -152,8 +153,26 @@ class TestPropagator:
             return expm(a)
 
         monkeypatch.setattr(scipy.linalg, "expm", counting)
-        build_propagator(grid32, params, 0.01)
-        assert batches == [(1920, 4, 4)]
+        prop = build_propagator(grid32, params, 0.01)
+        assert batches == [(671, 4, 4)]
+        prop.factor_at(*np.ogrid[:32, :32, :17])
+        assert batches == [(671, 4, 4), (1920, 4, 4)]
+
+    def test_holds_only_the_band_factor(self, grid8, params):
+        prop = build_propagator(grid8, params, 0.01)
+        arrays = [name for name, value in vars(prop).items()
+                  if isinstance(value, np.ndarray)]
+        assert arrays == ["half"]
+
+    def test_rejects_unstored_k3_index(self, grid8, params):
+        # k3 = 7 or -1 would wrap to a stored plane with the wrong |k3|
+        prop = build_propagator(grid8, params, 0.01)
+        for k in (7, 5, -1):
+            with pytest.raises(ValueError, match="k3 index"):
+                prop.matrix_at(1, 0, k)
+        with pytest.raises(ValueError, match="k3 index"):
+            prop.factor_at(*np.ogrid[:8, :8, :6])
+        assert np.isfinite(prop.matrix_at(1, 0, 4)).all()
 
     def test_zero_mode_maps_to_zero(self, grid8, params):
         prop = build_propagator(grid8, params, 0.01)
@@ -285,6 +304,15 @@ class TestPEStep:
             pe_step(U, prop)
         assert np.isfinite(pe_step(dealias(grid16, U), prop)).all()
         assert np.isfinite(pe_step(U, prop, nonlinear=False)).all()
+
+    def test_shape_checked_first(self, grid16, params):
+        prop = build_propagator(grid16, params, 0.01)
+        bad = (np.zeros(grid16.shape, dtype=complex),
+               np.zeros((4,) + Grid(32).shape, dtype=complex))
+        for U in bad:
+            for nonlinear in (True, False):
+                with pytest.raises(ValueError, match="expected shape"):
+                    pe_step(U, prop, nonlinear=nonlinear)
 
     def test_linear_l2_conservation_inviscid(self, grid8):
         p = Params(epsilon=0.05, nu=INVISCID, nu_prime=INVISCID)

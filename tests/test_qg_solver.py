@@ -108,6 +108,11 @@ class TestQGStep:
             qg_step(grid16, om, 0.01, params)
         assert np.isfinite(qg_step(grid16, dealias(grid16, om), 0.01, params)).all()
 
+    def test_accepts_nested_lists(self, grid8, params):
+        om = random_scalar(grid8, np.random.default_rng(2))
+        assert np.array_equal(qg_step(grid8, om.tolist(), 0.01, params),
+                              qg_step(grid8, om, 0.01, params))
+
     def test_transform_counts(self, grid8, params, monkeypatch):
         # 4 fields in and 1 out per evaluation, 4 evaluations per step
         om = random_scalar(grid8, np.random.default_rng(2))
