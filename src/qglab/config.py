@@ -13,7 +13,8 @@ Documented ranges:
 * grid.n: power of two, 8 .. 256; grid.box_length > 0, with |xi|^(2s) a finite
   nonzero float for s in ``diagnostics.S_LIST`` at |xi| = 2 pi/L and sqrt(3) pi n/L
 * params.*: positive; params.froude in (0, 1] (checked by ``Params``)
-* time.dt: positive, tiling t_end in whole diag.cadence periods, or ``auto``
+* time.dt: positive, tiling t_end in whole diag.cadence periods of at most
+  10^7 steps in all, or ``auto``
 * time.t_end > 0
 * init.seed: non-negative integer; init.spectrum_peak_k in [1, n/3)
 * init.qg_amplitude >= 0 (target H^1 norm of the balanced part)
@@ -39,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import S_LIST
-from .spectral import Params
+from .spectral import _SLAB_BYTES, Params
 
 __all__ = [
     "ConfigError",
@@ -188,12 +189,25 @@ def load_config(path):
     return parse_config_text(_read_text(path))
 
 
+# the most steps a config may ask for: beyond it a dt is a slip, not a run
+_MAX_STEPS = 10**7
+
+
+def _check_steps(dt, n_steps):
+    """n_steps, or ConfigError if it exceeds ``_MAX_STEPS``."""
+    if n_steps > _MAX_STEPS:
+        raise ConfigError(f"time.dt={dt:g} gives {n_steps} steps, more than "
+                          f"the {_MAX_STEPS} a run may take")
+    return n_steps
+
+
 def _step_count(t_end, dt):
-    """Number of steps of size dt in t_end; ConfigError unless it is whole."""
+    """Number of steps of size dt in t_end; ConfigError unless it is whole
+    and at most ``_MAX_STEPS``."""
     n_steps = int(round(t_end / dt)) if t_end / dt < math.inf else 0
     if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-8 * max(t_end, dt):
         raise ConfigError(f"dt={dt} does not divide t_end={t_end}")
-    return n_steps
+    return _check_steps(dt, n_steps)
 
 
 def _available_bytes():
@@ -216,17 +230,18 @@ _BASE_BYTES = 70e6
 def _peak_bytes(cfg):
     """Estimated peak resident bytes of a sweep of ``cfg``, which holds the
     most of any command: one complex half-spectrum field is 16 n^2 (n/2+1)
-    bytes, one compact band field 16 (2b+1)^2 (b+1) with b = n//3, one
-    physical field 8 n^3.
+    bytes, one compact band field 16 (2b+1)^2 (b+1) with b = n//3.
 
     * the compact state, the Lawson stages and the transform batch (49 band
       fields) and the compact 4x4 factor (8 band fields);
-    * the larger of a step's transforms (the 9 inverse fields, scattered
-      and physical, then the 4 products, one temporary and the forward's
-      4-field real pass: 13 half-spectrum and 14 physical fields) and a
-      record (the expanded state, its decomposition and the temporaries of
-      its norms and of the sweep's comparison with the reference run: 25
-      half-spectrum fields);
+    * the larger of a step's transforms and a record. A step's transforms
+      are the slab pipeline's buffers, about 53 n^3 bytes: the k1 lines of
+      the 9 inverse fields, n (2b+1)(b+1) modes each, and the 4 forward
+      fields, n^2 (b+1) modes each, with one slab of all 13 fields,
+      ``spectral._SLAB_BYTES`` or one x1 plane if that is larger. A record
+      holds the expanded state, its decomposition and the temporaries of its
+      norms and of the sweep's comparison with the reference run: 25
+      half-spectrum fields;
     * the grid's tables and cached weights, the initial data's draws and
       the allocator's slack: 9 half-spectrum fields, fitted to the measured
       peaks of sweeps at n = 32, 64 and 128;
@@ -236,7 +251,7 @@ def _peak_bytes(cfg):
       of ``time.dt = auto`` is taken at its least, t_end / dt = 1000.
     """
     n, b = cfg.grid.n, cfg.grid.n // 3
-    half, phys = 16 * n * n * (n // 2 + 1), 8 * n**3
+    half = 16 * n * n * (n // 2 + 1)
     band = 16 * (2 * b + 1) ** 2 * (b + 1)
     d, n_eps = cfg.diag, len(cfg.sweep.epsilons)
     if cfg.time.dt is None:
@@ -245,7 +260,9 @@ def _peak_bytes(cfg):
         n_steps = _step_count(cfg.time.t_end, cfg.time.dt)
     snapshots = n_steps // d.snapshot_every + 1 if d.snapshot_every else 0
     held = n_eps * (8 + 4 * snapshots) + n_steps // d.cadence + 1
-    working = 57 * band + max(13 * half + 14 * phys, 25 * half) + 9 * half
+    step = (16 * n * (b + 1) * (9 * (2 * b + 1) + 4 * n)
+            + max(_SLAB_BYTES, 13 * 8 * n * (2 * n + 2)))
+    working = 57 * band + max(step, 25 * half) + 9 * half
     return _BASE_BYTES + working + held * half
 
 

@@ -133,21 +133,17 @@ def osc_vorticity_source(grid, U_osc, U, U_qg, froude=1.0):
 
     dh = partial(derivative, grid)
 
-    terms = [
-        dh(U_osc[2], 3),                    # 0
-        dh(U[1], 1) - dh(U[0], 2),          # 1
-        dh(U_osc[2], 1),                    # 2
-        dh(U[1], 3),                        # 3
-        dh(U_osc[2], 2),                    # 4
-        dh(U[0], 3),                        # 5
-    ]
-    terms += [dh(U_qg[j], 3) for j in range(3)]                # 6..8
-    terms += [froude * dh(U_osc[3], ax) for ax in (1, 2, 3)]  # 9..11
-    terms += [dh(U_osc[j], 3) for j in range(3)]               # 12..14
-    terms += [froude * dh(U[3], ax) for ax in (1, 2, 3)]       # 15..17
+    def samples(*factors):
+        return from_spectral(grid, np.stack(factors))
 
-    p = from_spectral(grid, np.stack(terms))
+    # the sum's three groups of six factors, inverse-transformed one group
+    # at a time
+    p = samples(dh(U_osc[2], 3), dh(U[1], 1) - dh(U[0], 2), dh(U_osc[2], 1),
+                dh(U[1], 3), dh(U_osc[2], 2), dh(U[0], 3))
     q = p[0] * p[1] - p[2] * p[3] + p[4] * p[5]
-    q += p[6] * p[9] + p[7] * p[10] + p[8] * p[11]
-    q += p[12] * p[15] + p[13] * p[16] + p[14] * p[17]
+    for W, V in ((U_qg, U_osc), (U_osc, U)):  # F d3 v_W . grad theta_V
+        del p
+        p = samples(*[dh(W[j], 3) for j in range(3)],
+                    *[froude * dh(V[3], ax) for ax in (1, 2, 3)])
+        q += p[0] * p[3] + p[1] * p[4] + p[2] * p[5]
     return spectral_product(grid, q)

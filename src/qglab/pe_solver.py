@@ -14,8 +14,9 @@ are integrated exactly and only advection constrains the step.
 The nonlinear term is taken in rotational form, N(U) = -P(omega x v,
 v . grad theta) with omega = curl v: on the 2/3 band it equals -P(v . grad U)
 (they differ by grad |v|^2 / 2, which P removes) and transforms 13 fields, not 19.
-Its 9-field inverse and 4-field forward transforms skip the lines the band
-leaves at zero (see the spectral module doc), with the bits of full ones.
+Its 9 fields in and 4 out go through the slab pipeline of the spectral
+module doc, with the bits of full transforms; the four N(U) of a step share
+its buffers.
 
 Stepping is the integrating-factor (Lawson) form of classical RK4 with the
 half-step factor Eh = exp(dt/2 M) alone, exp(dt M) = Eh Eh:
@@ -32,15 +33,17 @@ xi' into xi. Eh is therefore built once per class (k1^2 + k2^2, |k3|) of the
 modes asked for, by batched scaling-and-squaring, which stays accurate where
 M is non-normal or defective, and rotated into each mode of the class. One
 builder, ``_factor``, makes the factor at any set of modes: the compact
-factor a run steps with, the one mode of ``matrix_at`` and the half-spectrum
-factor of a linear ``pe_step``; nothing off the band is held.
+factor a run steps with, the one mode of ``matrix_at`` and the row blocks
+of a linear ``pe_step``; nothing off the band is held.
 
 Runs step only the 2/3 band, in the compact layout of the spectral module
 doc. The run loop ``_run``, shared with ``qg_solver.qg_run``, makes every
 conversion: it cuts the initial state to the band at entry, its blow-up
 guard reads compact H^s weights, and it expands the state back to the
 half-spectrum once per record, for the record's channels, its snapshot and
-the final state. ``pe_step`` keeps the half-spectrum and converts per call.
+the final state. ``pe_step`` keeps the half-spectrum and converts per call;
+its linear form builds and applies the factor one block of k1 rows at a
+time, so no factor of the whole half-spectrum is held.
 """
 
 from __future__ import annotations
@@ -55,10 +58,11 @@ from .diagnostics import S_LIST, NormSeries, _weighted_norm, hs_channel, sobolev
 from .config import _step_count
 from .operators import coriolis_buoyancy, decompose
 from .spectral import (
-    _band_product,
-    _band_to_physical,
+    _band_pipeline,
     _leray_in_place,
+    _pipeline_buffers,
     _require_band,
+    _slab_planes,
     enforce_mean_zero,
     max_divergence,
 )
@@ -217,28 +221,36 @@ def build_propagator(grid, params, dt):
                             half=_factor(grid, params, dt, *grid._band.index))
 
 
-def _nonlinear_band(grid, U):
-    """N(U) = -P(omega x v, v . grad theta) of a compact state, compact,
-    dealiased and mean-zero; the products v x omega and v . (-grad theta)
-    carry the sign."""
-    band = grid._band
-    kd = (band.kd1, band.kd2, band.kd3)
-    ikd = [1j * k for k in kd]
-    cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    batch = np.empty((9,) + band.shape, dtype=np.complex128)  # v, omega, -grad theta
-    batch[:3] = U[:3]
-    for i, j, k in cyclic:
-        np.multiply(ikd[j], U[k], out=batch[3 + i])
-        batch[3 + i] -= ikd[k] * U[j]
-        np.multiply(-ikd[i], U[3], out=batch[6 + i])
-    v, omega, grad = _band_to_physical(grid, batch).reshape(
-        (3, 3) + (grid.n,) * 3)
-    prod = np.empty((4,) + v.shape[1:])
-    for i, j, k in cyclic:
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def _rotational_products(p):
+    """v x omega and v . (-grad theta) of a physical slab
+    (v, omega, -grad theta), shape (4, S, n, n)."""
+    v, omega, grad = p[:3], p[3:6], p[6:]
+    prod = np.empty((4,) + p.shape[1:])
+    for i, j, k in _CYCLIC:
         np.multiply(v[j], omega[k], out=prod[i])
         prod[i] -= v[k] * omega[j]
     np.einsum("jxyz,jxyz->xyz", v, grad, out=prod[3])
-    return _leray_in_place(kd, band.kd_mag2, _band_product(grid, prod))
+    return prod
+
+
+def _nonlinear_band(grid, U, buffers=None):
+    """N(U) = -P(omega x v, v . grad theta) of a compact state, compact,
+    dealiased and mean-zero; the products v x omega and v . (-grad theta)
+    carry the sign. ``buffers``: those of ``spectral._band_pipeline``."""
+    band = grid._band
+    kd = (band.kd1, band.kd2, band.kd3)
+    ikd = [1j * k for k in kd]
+    batch = np.empty((9,) + band.shape, dtype=np.complex128)  # v, omega, -grad theta
+    batch[:3] = U[:3]
+    for i, j, k in _CYCLIC:
+        np.multiply(ikd[j], U[k], out=batch[3 + i])
+        batch[3 + i] -= ikd[k] * U[j]
+        np.multiply(-ikd[i], U[3], out=batch[6 + i])
+    return _leray_in_place(kd, band.kd_mag2,
+                           _band_pipeline(grid, batch, _rotational_products, 4, buffers))
 
 
 def _nonlinear(grid, U):
@@ -268,25 +280,40 @@ def _finite(U):
 
 def _band_stepper(prop):
     """The nonlinear step of compact states, with the finiteness check of
-    ``pe_step`` but not its band check or conversions."""
-    step = partial(_lawson_rk4, h=prop.dt, rhs=partial(_nonlinear_band, prop.grid),
-                   expo_half=prop.apply_half)
-    return lambda U: _finite(step(U))
+    ``pe_step`` but not its band check or conversions. The four N(U) of a
+    step share one set of slab-pipeline buffers, freed with the step."""
+    grid = prop.grid
+
+    def step(U):
+        rhs = partial(_nonlinear_band, grid, buffers=_pipeline_buffers(grid, 9, 4))
+        return _finite(_lawson_rk4(U, prop.dt, rhs, prop.apply_half))
+
+    return step
 
 
 def pe_step(U, prop, *, nonlinear=True):
     """One integrating-factor RK4 step of size prop.dt of a half-spectrum
     state. A nonlinear step needs U on the 2/3 band (see the module doc) and
-    raises ValueError otherwise; a linear one applies the half-spectrum
-    factor, built for the call, at every stored mode."""
+    raises ValueError otherwise; a linear one applies the factor at every
+    stored mode, built for the call one block of k1 rows at a time."""
     grid = prop.grid
     U = np.asarray(U)
     grid.check_shape(U, 4)
     if nonlinear:
         _require_band(grid, U, "pe_step")
         return grid._band.expand(_band_stepper(prop)(grid._band.cut(U)))
-    full = prop.factor_at(*np.ogrid[:grid.n, :grid.n, :grid.n // 2 + 1])
-    return _finite(_apply(full, _apply(full, U)))
+    n, nh = grid.n, grid.n // 2 + 1
+    out = np.empty_like(U)
+    # a k1 row's factor and the temporaries of its build: about 256 bytes a
+    # mode; the rows go by |k1|, so that +k1 and -k1, whose symmetry classes
+    # are the same, mostly share a block and its expm
+    rows = _slab_planes(n, 256 * n * nh)
+    order = np.argsort(np.abs(grid.k_int), kind="stable")
+    for i in range(0, n, rows):
+        block = order[i:i + rows]
+        half = prop.factor_at(block[:, None, None], *np.ogrid[:n, :nh])
+        out[:, block] = _apply(half, _apply(half, U[:, block]))
+    return _finite(out)
 
 
 @dataclass

@@ -10,8 +10,9 @@ diffusion multiplier gamma is real and non-positive, so its exponential is a
 plain decay factor per mode; stepping uses the same integrating-factor RK4
 as the full solver, with the diffusion handled exactly and only advection
 entering the stages. The advecting velocity has zero third component, so
-each stage costs four scalar transforms in and one out, whose passes skip
-the lines the 2/3 band leaves at zero (see the spectral module doc).
+each stage costs four scalar transforms in and one out, which go through
+the slab pipeline of the spectral module doc; the four stages of a step
+share its buffers.
 
 The vorticity lives on the 2/3 band: ``qg_run`` cuts ``omega0`` to it, as
 ``pe_run`` cuts U0, and ``qg_step`` and ``qg_rhs`` raise ValueError on a
@@ -33,8 +34,8 @@ from .operators import biot_savart, qg_diffusion_symbol
 from .pe_solver import _lawson_rk4, _run
 from .spectral import (
     _anisotropic_symbol,
-    _band_product,
-    _band_to_physical,
+    _band_pipeline,
+    _pipeline_buffers,
     _require_band,
     _solve_anisotropic,
     enforce_mean_zero,
@@ -59,7 +60,7 @@ def _qg_rhs(grid, omega, froude):
                                     _anisotropic_symbol(band, froude)))
 
 
-def _qg_rhs_band(grid, omega, sym):
+def _qg_rhs_band(grid, omega, sym, buffers=None):
     """-v . grad pv of a compact vorticity, compact; ``sym`` is the compact
     symbol of the inverse anisotropic Laplacian (``spectral._anisotropic_symbol``)."""
     band = grid._band
@@ -70,19 +71,31 @@ def _qg_rhs_band(grid, omega, sym):
     np.multiply(ikd1, phi, out=batch[1])    # v2
     np.multiply(ikd1, omega, out=batch[2])  # d1 pv
     np.multiply(ikd2, omega, out=batch[3])  # d2 pv
-    p = _band_to_physical(grid, batch)
+    return _band_pipeline(grid, batch, _negative_transport, 1, buffers)[0]
+
+
+def _negative_transport(p):
+    """-(v1 d1 pv + v2 d2 pv) of a physical slab (v1, v2, d1 pv, d2 pv),
+    shape (1, S, n, n), written over p."""
     prod = np.multiply(p[0], p[2], out=p[0])
     prod += np.multiply(p[1], p[3], out=p[1])
-    return _band_product(grid, np.negative(prod, out=prod))
+    return np.negative(prod, out=prod)[None]
 
 
 def _qg_stepper(grid, dt, params):
-    """The step of compact vorticities, without checks or conversions."""
+    """The step of compact vorticities, without checks or conversions. The
+    four right-hand sides of a step share one set of slab-pipeline buffers,
+    freed with the step."""
     band = grid._band
     sym = qg_diffusion_symbol(band, params.nu, params.nu_prime, params.froude)
     rhs = partial(_qg_rhs_band, grid, sym=_anisotropic_symbol(band, params.froude))
-    return partial(_lawson_rk4, h=dt, rhs=rhs,
-                   expo_half=partial(np.multiply, np.exp(0.5 * dt * sym)))
+    expo_half = partial(np.multiply, np.exp(0.5 * dt * sym))
+
+    def step(omega):
+        return _lawson_rk4(omega, dt, partial(rhs, buffers=_pipeline_buffers(grid, 4, 1)),
+                           expo_half)
+
+    return step
 
 
 def qg_step(grid, omega, dt, params):

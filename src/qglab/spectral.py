@@ -33,19 +33,21 @@ in a private compact layout (``_Band``), shape (..., 2b+1, 2b+1, b+1) with
 b = band_edge: the k1 and k2 rows [0..b, n-b..n-1] in FFT order and the k3
 planes 0..b. Their run loop cuts the initial state to it once and expands
 the state back to the half-spectrum once per record; ``pe_step``, ``qg_step``
-and ``qg_rhs`` convert per call. The compact transforms give the bits of the
-full ones. ``_band_to_physical`` scatters a compact batch into zeros of the
-half-spectrum shape, runs the two complex passes in place and only on the
-lines the band reaches (k2 and k3 in the band for the k1
-pass, k3 in the band for the k2 pass), then the real pass on every line.
-``_band_product`` runs the forward passes the other way round: the real pass
-on every line, the k1 pass on the band's k3 planes and the k2 pass on the
-band's k1 rows, then keeps the band. A line of zeros transforms to exact
-zeros, each transformed line goes through the same pocketfft arithmetic as
-in ``irfftn`` and ``rfftn``, which take their axes in this order, and the
-per-pass 1/n scalings are exact powers of two, so the results equal
-``from_spectral``'s and the band of ``rfftn``'s bit for bit.
-``spectral_product`` is the expansion of ``_band_product``.
+and ``qg_rhs`` convert per call.
+
+Their products go through one slab pipeline, ``_band_pipeline``, which never
+holds a whole cube of any field. The k1 inverse pass runs on the compact
+lines; then each x1 slab of a few planes takes the k2 pass, the real pass,
+the caller's product and the forward real pass, whose k3 <= b planes it
+keeps; last come the forward k1 pass and the k2 pass on the band's k1 rows.
+The slab's planes are as many as fit one fixed working set, ``_SLAB_BYTES``,
+so a small grid is a single slab; a solver step lends the four products of
+its stages one set of the pipeline's buffers. A line of zeros transforms to exact zeros,
+each transformed line goes through the same pocketfft arithmetic as in
+``irfftn`` and ``rfftn``, which take their axes in this order, and the
+per-pass 1/n scalings are exact powers of two, so the physical slabs equal
+``from_spectral``'s and the result the band of ``rfftn``'s, bit for bit.
+``spectral_product`` runs the same forward passes on a whole physical cube.
 
 The dynamical convention throughout the package is mean-zero: the k=0
 coefficient of every evolved field is pinned to zero.
@@ -250,6 +252,19 @@ def from_spectral(grid, coeffs):
     return _fft.irfftn(coeffs, s=(grid.n,) * 3, axes=_AXES, norm="forward")
 
 
+# the bytes one slab of ``_band_pipeline`` may take at once: half the 4 MB L2
+# cache per core of the 2-vCPU x86-64 machine it was measured on, where it
+# ran N(U) at n = 16, 32 and 64 no slower than 1 or 4 MB did
+_SLAB_BYTES = 2 << 20
+
+
+def _slab_planes(n, plane_bytes):
+    """Planes per slab when a plane takes ``plane_bytes``: as many as fit in
+    ``_SLAB_BYTES``, at least one, spread evenly over the n planes."""
+    slabs = -(-n // max(1, min(n, _SLAB_BYTES // plane_bytes)))
+    return -(-n // slabs)
+
+
 def _in_place(transform, view, **kwargs):
     """A complex pass over ``view`` that leaves its result there, copied
     back if scipy returned a new array."""
@@ -258,33 +273,61 @@ def _in_place(transform, view, **kwargs):
         view[...] = out
 
 
-def _band_to_physical(grid, batch):
-    """``from_spectral`` of the half-spectra whose band is the compact
-    ``batch``, bit for bit.
+def _band_forward(grid, spec):
+    """The dealiased mean-zero compact band of half-spectra whose real pass,
+    kept to its k3 <= b planes, is ``spec`` (..., n, n, b+1): the k1 pass,
+    then the k2 pass on the band's k1 rows, both in place in ``spec``."""
+    n, b, rows = grid.n, grid.band_edge, grid._band._rows
+    _in_place(_fft.fft, spec, axis=-3)
+    _in_place(_fft.fft, spec[..., :b + 1, :, :], axis=-2)
+    _in_place(_fft.fft, spec[..., n - b:, :, :], axis=-2)
+    return enforce_mean_zero(spec[..., rows[:, None], rows, :])
 
-    The batch is scattered into zeros, and the passes run in place there:
-    the k1 pass on the two band blocks of k2 within the band's k3 planes,
-    the k2 pass on the band's k3 planes; every other line of those passes
-    is zero in and zero out.
+
+def _pipeline_buffers(grid, nf, nout):
+    """The buffers of ``_band_pipeline`` for ``nf`` fields in and ``nout``
+    out: the k1 lines (nf, n, 2b+1, b+1), the forward real pass (nout, n, n,
+    b+1) and the k2 buffer of one slab (nf, S, n, n/2+1), whose k3 > b planes
+    stay zero. A caller that keeps them for many calls saves their
+    allocation each time."""
+    n, b = grid.n, grid.band_edge
+    nh = n // 2 + 1
+    # per x1 plane: the k2 buffer and the physical fields, the products and
+    # their real pass
+    size = _slab_planes(n, 8 * n * (2 * nh + n) * (nf + nout))
+    return (np.empty((nf, n, 2 * b + 1, b + 1), dtype=np.complex128),
+            np.empty((nout, n, n, b + 1), dtype=np.complex128),
+            np.zeros((nf, size, n, nh), dtype=np.complex128))
+
+
+def _band_pipeline(grid, batch, product, nout, buffers=None):
+    """The compact band of ``product`` of the physical fields whose band is
+    the compact ``batch`` (F, 2b+1, 2b+1, b+1), dealiased and mean-zero, with
+    the bits of ``from_spectral`` and of the band of ``rfftn`` (see the
+    module doc).
+
+    ``product(p)`` takes a slab of physical fields, shape (F, S, n, n), and
+    returns the slab of its ``nout`` products, shape (nout, S, n, n).
+    ``buffers`` are ``_pipeline_buffers(grid, F, nout)``, made for the call
+    if not given.
     """
     n, b = grid.n, grid.band_edge
-    full = grid._band.expand(batch)
-    _in_place(_fft.ifftn, full[..., :b + 1, :b + 1], axes=(-3,))
-    _in_place(_fft.ifftn, full[..., n - b:, :b + 1], axes=(-3,))
-    _in_place(_fft.ifftn, full[..., :b + 1], axes=(-2,))
-    return _fft.irfftn(full, s=(n,), axes=(-1,), norm="forward",
-                       overwrite_x=True)
-
-
-def _band_product(grid, prod):
-    """The dealiased mean-zero band of a physical-space product, compact,
-    with the bits of ``rfftn`` (see the module doc)."""
-    n, b = grid.n, grid.band_edge
-    out = _fft.rfftn(prod, axes=(-1,), norm="forward")
-    _in_place(_fft.fft, out[..., :b + 1], axis=-3)
-    _in_place(_fft.fft, out[..., :b + 1, :, :b + 1], axis=-2)
-    _in_place(_fft.fft, out[..., n - b:, :, :b + 1], axis=-2)
-    return enforce_mean_zero(grid._band.cut(out))
+    lines, spec, work = buffers or _pipeline_buffers(grid, len(batch), nout)
+    lines[:, :b + 1] = batch[:, :b + 1]
+    lines[:, b + 1:n - b] = 0.0
+    lines[:, n - b:] = batch[:, b + 1:]
+    _in_place(_fft.ifft, lines, axis=1)
+    size = work.shape[1]
+    for x0 in range(0, n, size):
+        s = min(size, n - x0)
+        slab = work[:, :s, :, :b + 1]
+        slab[:, :, :b + 1] = lines[:, x0:x0 + s, :b + 1]
+        slab[:, :, b + 1:n - b] = 0.0
+        slab[:, :, n - b:] = lines[:, x0:x0 + s, b + 1:]
+        _in_place(_fft.ifft, slab, axis=2)
+        p = _fft.irfft(work[:, :s], n=n, axis=-1, norm="forward")
+        spec[:, x0:x0 + s] = _fft.rfft(product(p), axis=-1, norm="forward")[..., :b + 1]
+    return _band_forward(grid, spec)
 
 
 def _require_band(grid, f, who):
@@ -365,13 +408,15 @@ def _leray_in_place(kd, k2, v):
 
 def spectral_product(grid, prod):
     """Dealiased mean-zero half-spectrum of a physical-space product."""
-    return grid._band.expand(_band_product(grid, prod))
+    spec = _fft.rfftn(prod, axes=(-1,), norm="forward")[..., :grid.band_edge + 1]
+    return grid._band.expand(_band_forward(grid, spec))
 
 
 def advect(grid, v, U):
     """Pseudo-spectral v . grad U for a scalar field or a stack of fields.
 
-    Transforms to physical space, multiplies, transforms back and applies the
+    Transforms v to physical space once, then each field of U in turn: its
+    gradient to physical space, the product and its transform back with the
     2/3 cut; the (analytically zero-mean, for divergence-free v) k=0 output
     coefficient is pinned to zero.
     """
@@ -379,18 +424,15 @@ def advect(grid, v, U):
     U = np.asarray(U)
     grid.check_shape(v, 3)
     grid.check_shape(U)
-    n, lead = grid.n, U.shape[:-3]
-    m = int(np.prod(lead))
-    # gradients are written straight into the transform batch, the largest
-    # temporary of a step, rather than built apart and copied in
-    stack = np.empty((3 + 3 * m,) + grid.shape, dtype=np.complex128)
-    stack[:3] = v
-    for kd, out in zip((grid.kd1, grid.kd2, grid.kd3),
-                       stack[3:].reshape((3, m) + grid.shape)):
-        np.multiply(1j * kd, U.reshape((m,) + grid.shape), out=out)
-    p = from_spectral(grid, stack)
-    prod = np.einsum("jxyz,jixyz->ixyz", p[:3], p[3:].reshape(3, m, n, n, n))
-    return spectral_product(grid, prod.reshape(lead + (n,) * 3))
+    pv = from_spectral(grid, v)
+    out = np.empty(U.shape, dtype=np.complex128)
+    grad = np.empty((3,) + grid.shape, dtype=np.complex128)
+    for idx in np.ndindex(U.shape[:-3]):
+        for kd, g in zip((grid.kd1, grid.kd2, grid.kd3), grad):
+            np.multiply(1j * kd, U[idx], out=g)
+        prod = np.einsum("jxyz,jxyz->xyz", pv, from_spectral(grid, grad))
+        out[idx] = spectral_product(grid, prod)
+    return out
 
 
 def _plane_sum(a):

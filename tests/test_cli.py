@@ -103,6 +103,16 @@ class TestConfigParsing:
         else:
             assert have is None
 
+    def test_step_count_bounded(self):
+        # 10^12 steps tile t_end in whole cadence periods, but no run should
+        # take them
+        text = ("grid.n = 8\ninit.spectrum_peak_k = 1\ntime.dt = 1e-12\n"
+                "time.t_end = 1\ndiag.cadence = 1000000000000")
+        with pytest.raises(ConfigError, match=r"time.dt=1e-12 gives 1000000000000 steps"):
+            parse_config_text(text)
+        parse_config_text("grid.n = 8\ninit.spectrum_peak_k = 1\ntime.dt = 1e-7\n"
+                          "time.t_end = 1\ndiag.cadence = 10000000")
+
     def test_params_range_error_names_the_key(self):
         with pytest.raises(ConfigError, match="params.nu_prime"):
             parse_config_text("params.nu_prime = -1")

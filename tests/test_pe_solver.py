@@ -33,7 +33,7 @@ from qglab import (
 from qglab.config import ConfigError, DiagConfig, RunConfig
 from qglab.pe_solver import _linear_symbols, _nonlinear
 
-from half_spectrum import count_fields, half_index, patch_full_transforms
+from half_spectrum import count_fields, half_index, patch_full_transforms, traced_peak
 
 INVISCID = 1e-30  # positive but exp(-nu k^2 dt) == 1.0 exactly in float64
 
@@ -364,6 +364,18 @@ class TestPEStep:
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
             out[(slice(None),) + idx] = 0.0
         assert not np.any(out)
+
+
+    @pytest.mark.parametrize("nonlinear, bound", [(True, 48e6), (False, 15e6)])
+    def test_traced_peak_at_n64(self, nonlinear, bound):
+        # traced at n=64: 41 MB for a nonlinear step through the slab
+        # pipeline (60 MB through whole-cube transforms) and 11 MB for a
+        # linear one built by blocks of k1 rows (37 MB for the whole
+        # half-spectrum factor at once)
+        grid = Grid(64)
+        prop = build_propagator(grid, Params(epsilon=0.01, nu=1e-2, nu_prime=5e-3), 1e-3)
+        U = random_state(grid, np.random.default_rng(64))
+        assert traced_peak(pe_step, U, prop, nonlinear=nonlinear) <= bound
 
 
 class TestPERun:

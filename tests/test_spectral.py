@@ -21,11 +21,12 @@ from qglab import (
     to_spectral,
 )
 from qglab.spectral import (
-    _band_product,
-    _band_to_physical,
+    _band_pipeline,
     _require_band,
     spectral_product,
 )
+
+from half_spectrum import full_pipeline, traced_peak
 
 
 class TestGrid:
@@ -300,6 +301,13 @@ class TestAdvect:
         with pytest.raises(ValueError):
             advect(grid32, U[:3], U)
 
+    def test_traced_peak_at_n64(self):
+        # v is transformed once, then one field of U at a time: 32 MB traced
+        # at n=64, where one batch of all 15 fields took 84 MB
+        g = Grid(64)
+        U = random_state(g, np.random.default_rng(0))
+        assert traced_peak(advect, g, U[:3], U) <= 40e6
+
 
 class TestMeanZero:
     def test_random_fields_are_mean_zero(self, grid32, rng):
@@ -340,32 +348,48 @@ class TestBandLayout:
                                   band.cut(table))
 
 
+def physical_slabs(g, f):
+    """The physical slabs ``_band_pipeline`` hands its product for the band
+    of f, joined along x1, and the number of slabs."""
+    slabs = []
+
+    def product(p):
+        slabs.append(p.copy())
+        return p[:1]
+
+    _band_pipeline(g, g._band.cut(f), product, 1)
+    return np.concatenate(slabs, axis=1), len(slabs)
+
+
 class TestBandToPhysical:
+    # the pipeline's inverse half: the physical slabs it hands the product
     @pytest.mark.parametrize("lead", [(4,), (9,)])
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_bit_identical_to_from_spectral(self, n, lead):
         g = Grid(n)
         f = band_edge_batch(g, lead, np.random.default_rng([n, lead[0]]))
-        assert np.array_equal(_band_to_physical(g, g._band.cut(f)), from_spectral(g, f))
+        assert np.array_equal(physical_slabs(g, f)[0], from_spectral(g, f))
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_copy_back_when_scipy_returns_a_new_array(self, n, monkeypatch):
         import scipy.fft
 
-        original, calls = scipy.fft.ifftn, []
+        original, calls = scipy.fft.ifft, []
 
         def fresh(x, **kwargs):
             calls.append(1)
             return original(np.array(x), **kwargs)
 
-        monkeypatch.setattr(scipy.fft, "ifftn", fresh)
+        monkeypatch.setattr(scipy.fft, "ifft", fresh)
         g = Grid(n)
         f = band_edge_batch(g, (4,), np.random.default_rng(n))
-        assert np.array_equal(_band_to_physical(g, g._band.cut(f)), from_spectral(g, f))
-        assert len(calls) == 3
+        p, slabs = physical_slabs(g, f)
+        assert np.array_equal(p, from_spectral(g, f))
+        assert len(calls) == 1 + slabs  # the k1 pass, then one k2 pass a slab
 
 
 class TestBandProduct:
+    # the pipeline's forward half, and spectral_product, which shares it
     @pytest.mark.parametrize("lead", [(), (4,)])
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_bit_identical_to_masked_rfftn(self, n, lead):
@@ -373,8 +397,39 @@ class TestBandProduct:
         prod = np.random.default_rng([n, len(lead)]).standard_normal(lead + (n,) * 3)
         want = to_spectral(g, prod) * g.dealias_mask
         want[..., 0, 0, 0] = 0.0
-        assert np.array_equal(g._band.expand(_band_product(g, prod)), want)
         assert np.array_equal(spectral_product(g, prod), want)
+        fields = prod.reshape((-1,) + (n,) * 3)
+        done = []
+
+        def product(p):
+            x0 = sum(done)
+            done.append(p.shape[1])
+            return fields[:, x0:x0 + p.shape[1]]
+
+        got = _band_pipeline(g, np.zeros((1,) + g._band.shape, dtype=complex),
+                             product, len(fields))
+        assert sum(done) == n
+        assert np.array_equal(g._band.expand(got), want.reshape((-1,) + g.shape))
+
+
+class TestBandPipeline:
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_bit_identical_to_full_transforms(self, n):
+        g = Grid(n)
+        f = band_edge_batch(g, (9,), np.random.default_rng([n, 9]))
+
+        def product(p):
+            return p[:4] * p[4:8] - p[8:]
+
+        assert np.array_equal(_band_pipeline(g, g._band.cut(f), product, 4),
+                              full_pipeline(g, g._band.cut(f), product, 4))
+
+    @pytest.mark.parametrize("n, one_slab", [(16, True), (64, False)])
+    def test_slabs(self, n, one_slab):
+        # a small grid is a single slab; a larger one is cut into several
+        g = Grid(n)
+        f = band_edge_batch(g, (9,), np.random.default_rng(n))
+        assert (physical_slabs(g, f)[1] == 1) == one_slab
 
 
 class TestRequireBand:

@@ -69,6 +69,14 @@ class TestResolveTime:
         assert n_steps % cfg.diag.cadence == 0
 
 
+    def test_auto_step_count_bounded(self, grid16, rng):
+        # the cadence rounds the auto count up past the bound
+        cfg = default_config()
+        cfg.diag.cadence = 20_000_000
+        with pytest.raises(ConfigError, match="gives 20000000 steps"):
+            resolve_time(cfg, grid16, random_state(grid16, rng))
+
+
 class TestRunConvergenceSweep:
     @pytest.mark.parametrize("dt", [0.003, 0.00625])
     def test_ragged_config_rejected_before_any_data(self, dt, monkeypatch):
