@@ -233,15 +233,20 @@ def _peak_bytes(cfg):
     bytes, one compact band field 16 (2b+1)^2 (b+1) with b = n//3.
 
     * the compact state, the Lawson stages and the transform batch (49 band
-      fields) and the compact 4x4 factor (8 band fields);
+      fields), the compact 4x4 factor (8 band fields) and the real H^s
+      weights a run holds for its records and its guard (11, as 6 band
+      fields);
     * the larger of a step's transforms and a record. A step's transforms
       are the slab pipeline's buffers, about 53 n^3 bytes: the k1 lines of
       the 9 inverse fields, n (2b+1)(b+1) modes each, and the 4 forward
       fields, n^2 (b+1) modes each, with one slab of all 13 fields,
       ``spectral._SLAB_BYTES`` or one x1 plane if that is larger. A record
-      holds the expanded state, its decomposition and the temporaries of its
-      norms and of the sweep's comparison with the reference run: 25
-      half-spectrum fields;
+      reads every channel on the compact state: its decomposition, the
+      reference vorticity cut to the band, that vorticity's Biot-Savart
+      state, the gaps and the temporaries of the norms, 19 band fields (the
+      traced peak at n = 32, 64 and 128), plus the one expansion of the
+      state to the half-spectrum (4 fields) that a snapshot or the final
+      state takes;
     * the grid's tables and cached weights, the initial data's draws and
       the allocator's slack: 9 half-spectrum fields, fitted to the measured
       peaks of sweeps at n = 32, 64 and 128;
@@ -262,7 +267,7 @@ def _peak_bytes(cfg):
     held = n_eps * (8 + 4 * snapshots) + n_steps // d.cadence + 1
     step = (16 * n * (b + 1) * (9 * (2 * b + 1) + 4 * n)
             + max(_SLAB_BYTES, 13 * 8 * n * (2 * n + 2)))
-    working = 57 * band + max(step, 25 * half) + 9 * half
+    working = 63 * band + max(step, 19 * band + 4 * half) + 9 * half
     return _BASE_BYTES + working + held * half
 
 

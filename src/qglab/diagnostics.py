@@ -7,8 +7,13 @@ Homogeneous Sobolev norms are spectral sums over the nonzero modes,
 with the box-average coefficient normalization of :mod:`qglab.spectral`, so
 s = 0 reproduces the physical L2 norm exactly. The sum runs over the full
 spectrum; on the stored half-spectrum it carries the k3 plane weight of
-:meth:`Grid.norm_weights`. The combined space-time norm
-of a time series is
+:meth:`Grid.norm_weights`. The channels that ``pe_run``, ``qg_run`` and the
+sweep record are the same sums taken over the compact 2/3 band the solvers
+step, against the band's own weights (``_Band.norm_weights``, the band of
+the grid's, bit for bit): the state is band-limited, so they equal the
+half-spectrum norms up to the order of the summation, about 1e-15 relative.
+Each record reads all the norms of a field in one fused reduction,
+``_hs_norms``. The combined space-time norm of a time series is
 
     ||f||_{E^s_T}^2 = sup_{t <= T} ||f(t)||_{H^s}^2
                       + min(nu, nu') * int_0^T ||f(tau)||_{H^(s+1)}^2 dtau,
@@ -153,16 +158,22 @@ def sobolev_norm(grid, f, s):
     s = float(s)
     if not -2.0 <= s <= 3.0:
         raise ValueError(f"s={s} outside the supported range [-2, 3]")
-    return _weighted_norm(f, grid.norm_weights(s))
-
-
-def _weighted_norm(f, weights):
-    """sqrt(sum weights |f|^2), with one temporary: pe_run's records call
-    this while holding a whole decomposition."""
     a = np.abs(f)
     a *= a
-    a *= weights
+    a *= grid.norm_weights(s)
     return float(np.sqrt(np.sum(a)))
+
+
+def _hs_norms(f, weights):
+    """The H^s norms of ``f``, one per row of ``weights`` (len(s),) + S, a
+    scalar or multi-component field in the layout S those weights are built
+    for (``Grid.norm_weights``, ``_Band.norm_weights``), in one fused
+    reduction: |f|^2 summed over the components, then one product with the
+    (len(s), modes) weight matrix."""
+    a = np.abs(f)
+    a *= a
+    modes = weights[0].size
+    return np.sqrt(weights.reshape(-1, modes) @ a.reshape(-1, modes).sum(axis=0))
 
 
 def hs_inner(grid, f, g, s):

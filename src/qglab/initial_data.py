@@ -13,14 +13,12 @@ the way out so the solver precondition holds to roundoff.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .config import ConfigError
 from .operators import biot_savart, decompose
-from .diagnostics import S_LIST, sobolev_norm
-from .spectral import Grid, enforce_mean_zero, leray_project, random_scalar
+from .diagnostics import S_LIST, _hs_norms, sobolev_norm
+from .spectral import enforce_mean_zero, leray_project, random_scalar
 
 __all__ = ["make_well_prepared_data"]
 
@@ -61,10 +59,9 @@ def make_well_prepared_data(grid, config, *, osc_h_minus1=None):
         U_osc = (osc_h_minus1 / hm1) * candidate
 
     U0 = enforce_mean_zero(leray_project(grid, U_qg + U_osc))
-    # a grid of its own, freed on return: H^s weights cached on the caller's
-    # grid this early moved glibc's heap enough to lift n=64 peak RSS 8-20%
-    probe = Grid(grid.n, grid.box_length)
-    if not all(math.isfinite(sobolev_norm(probe, U0, s)) for s in S_LIST):
+    # U0 is band-limited, so its norms are those of its band
+    band = grid._band
+    if not np.isfinite(_hs_norms(band.cut(U0), band.norm_weights(S_LIST))).all():
         raise ConfigError("initial data have a non-finite H^s norm; change "
                           "init.qg_amplitude, init.osc_amplitude or grid.box_length")
     return U0

@@ -60,7 +60,8 @@ __all__ = [
 
 
 def potential_vorticity(grid, U, froude=1.0):
-    """pv(U) = d1 v2 - d2 v1 - F d3 theta."""
+    """pv(U) = d1 v2 - d2 v1 - F d3 theta, on the wavevector tables of a
+    Grid or of its compact band."""
     return (
         derivative(grid, U[1], 1)
         - derivative(grid, U[0], 2)
@@ -69,7 +70,8 @@ def potential_vorticity(grid, U, froude=1.0):
 
 
 def biot_savart(grid, omega, froude=1.0):
-    """Reconstruct the quasi-geostrophic state with the given vorticity."""
+    """Reconstruct the quasi-geostrophic state with the given vorticity, on
+    the wavevector tables of a Grid or of its compact band."""
     phi = inverse_anisotropic_laplacian(grid, omega, froude)
     return np.stack(
         [
@@ -91,7 +93,8 @@ class Decomposition:
 
 
 def decompose(grid, U, froude=1.0):
-    """The QG part biot_savart(pv(U)), the oscillating rest U - QG, and pv(U)."""
+    """The QG part biot_savart(pv(U)), the oscillating rest U - QG, and
+    pv(U), on the wavevector tables of a Grid or of its compact band."""
     omega = potential_vorticity(grid, U, froude)
     qg = biot_savart(grid, omega, froude)
     return Decomposition(qg=qg, osc=U - qg, omega=omega)

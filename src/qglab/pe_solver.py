@@ -39,9 +39,10 @@ of a linear ``pe_step``; nothing off the band is held.
 Runs step only the 2/3 band, in the compact layout of the spectral module
 doc. The run loop ``_run``, shared with ``qg_solver.qg_run``, makes every
 conversion: it cuts the initial state to the band at entry, its blow-up
-guard reads compact H^s weights, and it expands the state back to the
-half-spectrum once per record, for the record's channels, its snapshot and
-the final state. ``pe_step`` keeps the half-spectrum and converts per call;
+guard and the records' channels read the compact state against the band's
+own H^s weights, and it expands the state back to the half-spectrum only
+for a snapshot and the final state. ``pe_step`` keeps the half-spectrum and
+converts per call;
 its linear form builds and applies the factor one block of k1 rows at a
 time, so no factor of the whole half-spectrum is held.
 """
@@ -54,7 +55,7 @@ from functools import partial
 import numpy as np
 import scipy.linalg
 
-from .diagnostics import S_LIST, NormSeries, _weighted_norm, hs_channel, sobolev_norm
+from .diagnostics import S_LIST, NormSeries, _hs_norms, hs_channel
 from .config import _step_count
 from .operators import coriolis_buoyancy, decompose
 from .spectral import (
@@ -335,11 +336,12 @@ def _run(grid, params, t_end, dt, diag, state0, *, prepare, make_step, guard,
     count and snapshot cadence, builds ``make_step()``, a step on compact
     states, then steps ``prepare`` of ``state0`` cut to the compact band,
     which no other frame holds. It records ``channels(step, t, state)`` on
-    the state expanded to the half-spectrum at step 0, every ``diag.cadence``
-    steps and the end, keeping that expansion as the snapshot where
-    ``diag.snapshot_every`` divides the step, and raises BlowUpError at the
-    step's time when ``guard = (name, s)``, an H^s norm, leaves 1e6 times
-    its start (nan and inf do) or the step raises one."""
+    the compact state at step 0, every ``diag.cadence`` steps and the end,
+    expands the state to the half-spectrum only for the snapshot where
+    ``diag.snapshot_every`` divides the step and for the final state, and
+    raises BlowUpError at the step's time when ``guard = (name, s)``, an H^s
+    norm, leaves 1e6 times its start (nan and inf do) or the step raises
+    one."""
     n_steps = _step_count(t_end, dt)
     if diag.snapshot_every and diag.snapshot_every % diag.cadence != 0:
         raise ValueError("snapshot_every must be a multiple of the diag cadence")
@@ -347,7 +349,11 @@ def _run(grid, params, t_end, dt, diag, state0, *, prepare, make_step, guard,
     band = grid._band
     state = prepare(band.cut(np.asarray(state0)).astype(np.complex128, copy=False))
     name, s = guard
-    norm = partial(_weighted_norm, weights=band.cut(grid.norm_weights(s)))
+    weights = band.norm_weights((s,))
+
+    def norm(U):
+        return _hs_norms(U, weights)[0]
+
     limit = 1e6 * norm(state)
     series = NormSeries()
     snapshot_times, snapshots = [], []
@@ -362,11 +368,10 @@ def _run(grid, params, t_end, dt, diag, state0, *, prepare, make_step, guard,
             if not size <= limit:
                 raise BlowUpError(t, f"{name} grew to {size:.3g}")
         if i % diag.cadence == 0 or i == n_steps:
-            full = band.expand(state)
-            series.append(t, channels(i, t, full))
+            series.append(t, channels(i, t, state))
             if diag.snapshot_every and i % diag.snapshot_every == 0:
                 snapshot_times.append(t)
-                snapshots.append(full)
+                snapshots.append(band.expand(state))
     return RunRecord(grid, params, dt, series, snapshot_times, snapshots,
                      band.expand(state))
 
@@ -375,11 +380,16 @@ def pe_run(grid, U0, params, t_end, dt, diag, *, extra_diag=None):
     """Integrate to t_end recording diagnostics; returns a :class:`RunRecord`.
 
     Each record holds the H^s norms of U and of its oscillating part for s in
-    ``diagnostics.S_LIST`` and ``max_div``; ``extra_diag(step, t, dec)`` adds
-    channels from its :class:`Decomposition`. U0 is cut to the 2/3 band and
-    Leray-projected once; the steps keep it there and divergence-free, since
-    the propagator maps solenoidal fields to solenoidal fields and N(U) is a
-    projected, dealiased product, and ``max_div`` records how well. The mean
+    ``diagnostics.S_LIST`` and ``max_div``, all evaluated on the compact band
+    (see ``_pe_channels``); ``extra_diag(step, t, dec)`` adds channels from
+    its :class:`Decomposition`, which is compact too: its fields are in the
+    layout of ``grid._band``, whose tables ``decompose``, ``biot_savart`` and
+    the band's ``norm_weights`` take in place of the grid's.
+
+    U0 is cut to the 2/3 band and Leray-projected once; the steps keep it
+    there and divergence-free, since the propagator maps solenoidal fields
+    to solenoidal fields and N(U) is a projected, dealiased product, and
+    ``max_div`` records how well. The mean
     is zeroed once at entry and stays exactly zero: the propagator maps the
     k=0 mode to zero and N(U) is mean-zero. A non-finite state or an H^1
     norm beyond 1e6 times its initial value raises :class:`BlowUpError`.
@@ -387,23 +397,32 @@ def pe_run(grid, U0, params, t_end, dt, diag, *, extra_diag=None):
     U0 = np.asarray(U0)
     grid.check_shape(U0, 4)
     band = grid._band
-
-    def channels(step, t, U):
-        values = {}
-        dec = decompose(grid, U, params.froude)
-        for s in S_LIST:
-            values[hs_channel("U", s)] = sobolev_norm(grid, U, s)
-            values[hs_channel("Uosc", s)] = sobolev_norm(grid, dec.osc, s)
-        values["max_div"] = max_divergence(grid, U)
-        if extra_diag is not None:
-            values.update(extra_diag(step, t, dec))
-        return values
-
     return _run(
         grid, params, t_end, dt, diag, U0,
         prepare=lambda U: enforce_mean_zero(
             _leray_in_place((band.kd1, band.kd2, band.kd3), band.kd_mag2, U)),
         make_step=lambda: _band_stepper(build_propagator(grid, params, dt)),
         guard=("H^1 norm", 1.0),
-        channels=channels,
+        channels=_pe_channels(grid, params.froude, extra_diag),
     )
+
+
+def _pe_channels(grid, froude, extra_diag=None):
+    """The record of :func:`pe_run`, ``channels(step, t, U)`` of a compact
+    state: the decomposition and ``max_div`` on the band's tables, and each
+    field's H^s norms in one fused reduction against the band's weights,
+    built once here."""
+    band = grid._band
+    weights = band.norm_weights(S_LIST)
+    names = {f: [hs_channel(f, s) for s in S_LIST] for f in ("U", "Uosc")}
+
+    def channels(step, t, U):
+        dec = decompose(band, U, froude)
+        values = dict(zip(names["U"], _hs_norms(U, weights)))
+        values.update(zip(names["Uosc"], _hs_norms(dec.osc, weights)))
+        values["max_div"] = max_divergence(band, U)
+        if extra_diag is not None:
+            values.update(extra_diag(step, t, dec))
+        return values
+
+    return channels

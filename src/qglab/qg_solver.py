@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .diagnostics import S_LIST, hs_channel, sobolev_norm
+from .diagnostics import S_LIST, _hs_norms, hs_channel
 from .operators import biot_savart, qg_diffusion_symbol
 from .pe_solver import _lawson_rk4, _run
 from .spectral import (
@@ -111,22 +111,25 @@ def qg_step(grid, omega, dt, params):
 def qg_run(grid, omega0, params, t_end, dt, diag):
     """Integrate the vorticity to t_end into a ``pe_solver.RunRecord``.
 
-    omega0 is cut to the 2/3 band. A vorticity copy is kept at each record
-    that ``diag.snapshot_every`` divides, as in ``pe_run``. The vorticity L2
-    norm must not grow; at desk scale a triggered blow-up guard means a
-    defect, not physics.
+    omega0 is cut to the 2/3 band. Each record holds the H^0 and H^1 norms
+    of the vorticity and the H^s norms of its Biot-Savart state for s in
+    ``diagnostics.S_LIST``, evaluated on the compact band as in ``pe_run``.
+    A vorticity copy is kept at each record that ``diag.snapshot_every``
+    divides, as in ``pe_run``. The vorticity L2 norm must not grow; at desk
+    scale a triggered blow-up guard means a defect, not physics.
     """
     omega0 = np.asarray(omega0)
     grid.check_shape(omega0)
+    band = grid._band
+    fields = {"omega": (0.0, 1.0), "Uqg": S_LIST}
+    weights = {f: band.norm_weights(s) for f, s in fields.items()}
+    names = {f: [hs_channel(f, x) for x in s] for f, s in fields.items()}
 
     def channels(step, t, om):
-        U = biot_savart(grid, om, params.froude)
-        values = {
-            hs_channel("omega", 0.0): sobolev_norm(grid, om, 0.0),
-            hs_channel("omega", 1.0): sobolev_norm(grid, om, 1.0),
-        }
-        for s in S_LIST:
-            values[hs_channel("Uqg", s)] = sobolev_norm(grid, U, s)
+        # on the compact band: each field's norms in one fused reduction
+        values = dict(zip(names["omega"], _hs_norms(om, weights["omega"])))
+        U = biot_savart(band, om, params.froude)
+        values.update(zip(names["Uqg"], _hs_norms(U, weights["Uqg"])))
         return values
 
     return _run(

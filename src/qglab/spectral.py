@@ -31,9 +31,10 @@ batched call per direction for any leading field axes.
 The solvers step only the band. ``pe_run`` and ``qg_run`` hold their state
 in a private compact layout (``_Band``), shape (..., 2b+1, 2b+1, b+1) with
 b = band_edge: the k1 and k2 rows [0..b, n-b..n-1] in FFT order and the k3
-planes 0..b. Their run loop cuts the initial state to it once and expands
-the state back to the half-spectrum once per record; ``pe_step``, ``qg_step``
-and ``qg_rhs`` convert per call.
+planes 0..b. Their run loop cuts the initial state to it once, reads every
+record's channels there against the band's own H^s weights, and expands the
+state back to the half-spectrum only for a snapshot and the final state;
+``pe_step``, ``qg_step`` and ``qg_rhs`` convert per call.
 
 Their products go through one slab pipeline, ``_band_pipeline``, which never
 holds a whole cube of any field. The k1 inverse pass runs on the compact
@@ -143,10 +144,7 @@ class Grid:
         s = float(s)
         w = self._norm_weights.get(s)
         if w is None:
-            with np.errstate(divide="ignore"):
-                w = self.kmag2 ** s
-            w[..., 1:-1] *= 2.0
-            w[0, 0, 0] = 0.0
+            w = _hs_weights(self.kmag2, (s,), slice(1, -1))[0]
             w.setflags(write=False)
             self._norm_weights[s] = w
         return w
@@ -173,7 +171,8 @@ class _Band:
 
     ``kd1/kd2/kd3`` and ``kd_mag2`` are the grid's Nyquist-zeroed tables cut
     to the band, so every per-mode operation gives the same bits here as on
-    the half-spectrum.
+    the half-spectrum. The band holds no Nyquist mode, so ``kd_mag2`` is
+    also the true squared magnitude that its H^s weights take.
     """
 
     def __init__(self, grid):
@@ -193,6 +192,13 @@ class _Band:
         self.kd3 = grid.kd3[..., :b + 1]
         self.kd_mag2 = self.cut(grid.kd_mag2)
 
+    def norm_weights(self, s):
+        """The H^s weights of the band for each s of a sequence, shape
+        (len(s),) + shape: the band of ``Grid.norm_weights``, bit for bit,
+        with plane weight 2 off k3 = 0, since the band has no Nyquist plane.
+        Built per call, never cached."""
+        return _hs_weights(self.kd_mag2, s, slice(1, None))
+
     def cut(self, f):
         """The band of half-spectra (..., n, n, n//2+1), as a new compact array."""
         return f[..., self._rows[:, None], self._rows, :self.shape[-1]]
@@ -205,6 +211,20 @@ class _Band:
         for full, comp in self._blocks:
             out[full] = c[comp]
         return out
+
+
+def _hs_weights(kmag2, s, doubled):
+    """|xi|^(2s) times the k3 plane weight, k=0 zeroed, for each s of a
+    sequence, shape (len(s),) + kmag2.shape: ``kmag2`` holds the true
+    squared mode magnitudes and ``doubled`` slices the k3 planes that
+    stand for a conjugate pair."""
+    w = np.empty((len(s),) + kmag2.shape)
+    with np.errstate(divide="ignore"):
+        for row, si in zip(w, s):
+            row[...] = kmag2 ** float(si)
+    w[..., doubled] *= 2.0
+    w[..., 0, 0, 0] = 0.0
+    return w
 
 
 @dataclass(frozen=True)
@@ -442,17 +462,21 @@ def _plane_sum(a):
 
 
 def l2_norm(f):
-    """Box-average L2 norm of half-spectra, all components pooled."""
+    """Box-average L2 norm of half-spectra, all components pooled. Half-spectra
+    only: its plane weight takes the last k3 plane for the Nyquist plane, so
+    it mis-weights a compact band array (use ``_Band.norm_weights``)."""
     return float(np.sqrt(_plane_sum(np.abs(f) ** 2)))
 
 
 def l2_inner(f, g):
-    """Box-average L2 inner product of half-spectra (real part)."""
+    """Box-average L2 inner product of half-spectra (real part); half-spectra
+    only, as for :func:`l2_norm`."""
     return float(_plane_sum((f * np.conj(g)).real))
 
 
 def max_divergence(grid, v):
-    """max_k |xi . v_hat| / (|xi| max|v_hat|), the relative divergence."""
+    """max_k |xi . v_hat| / (|xi| max|v_hat|), the relative divergence, on
+    the wavevector tables of a Grid or of its compact band."""
     kd = (grid.kd1, grid.kd2, grid.kd3)
     div = np.abs(kd[0] * v[0] + kd[1] * v[1] + kd[2] * v[2])
     kmag = np.sqrt(grid.kd_mag2)

@@ -31,12 +31,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import _check_steps, _step_count, validate_config
-from .diagnostics import hs_channel, sobolev_norm, space_time_norm
+from .diagnostics import _hs_norms, hs_channel, space_time_norm
 from .initial_data import make_well_prepared_data
 from .operators import biot_savart, potential_vorticity
 from .pe_solver import BlowUpError, pe_run
 from .qg_solver import qg_run
-from .spectral import Grid, from_spectral, l2_norm
+from .spectral import Grid, from_spectral
 
 __all__ = ["SweepResult", "run_convergence_sweep", "fit_rate", "export",
            "resolve_time"]
@@ -114,6 +114,28 @@ def fit_rate(eps_list, metric_list):
     return (float(slope), float(intercept), float(np.sqrt(np.mean(resid**2))))
 
 
+def _reference_diag(grid, qg_record, froude, cadence):
+    """The extra channels of a full run against the reference run
+    ``qg_record``, whose snapshots are its vorticities at every record:
+    ``extra_diag(step, t, dec)`` of a compact decomposition (see ``pe_run``).
+    Each record cuts the reference vorticity to the band and reads the pv
+    gap's band H^0 norm and the balanced gap's H^s norms, one fused
+    reduction each."""
+    band = grid._band
+    weights = band.norm_weights((0.0,) + _QGDIFF_S)
+    names = [hs_channel("qgdiff", s) for s in _QGDIFF_S]
+
+    def extra_diag(step, t, dec):
+        # both runs record at step i * cadence of the same dt and n_steps
+        ref = band.cut(qg_record.snapshots[step // cadence])
+        values = {"l2_omega_diff": _hs_norms(dec.omega - ref, weights[:1])[0]}
+        dqg = dec.qg - biot_savart(band, ref, froude)
+        values.update(zip(names, _hs_norms(dqg, weights[1:])))
+        return values
+
+    return extra_diag
+
+
 def run_convergence_sweep(config):
     """Validate the config, run the reference and one full run per epsilon
     (each announced at INFO on this module's logger); reduce and fit.
@@ -138,15 +160,6 @@ def run_convergence_sweep(config):
         replace(config.diag, snapshot_every=cadence),
     )
 
-    def reference_diag(step, t, dec):
-        # both runs record at step i * cadence of the same dt and n_steps
-        idx = step // cadence
-        dqg = dec.qg - biot_savart(grid, qg_record.snapshots[idx], froude)
-        values = {"l2_omega_diff": l2_norm(dec.omega - qg_record.snapshots[idx])}
-        for s in _QGDIFF_S:
-            values[hs_channel("qgdiff", s)] = sobolev_norm(grid, dqg, s)
-        return values
-
     metrics = {name: [] for name in METRIC_NAMES}
     pe_records = []
     for eps in epsilons:
@@ -155,7 +168,7 @@ def run_convergence_sweep(config):
         try:
             record = pe_run(
                 grid, initial[eps], params, config.time.t_end, dt, config.diag,
-                extra_diag=reference_diag,
+                extra_diag=_reference_diag(grid, qg_record, froude, cadence),
             )
         except BlowUpError as err:
             raise BlowUpError(err.time, f"epsilon={eps:g}: {err.reason}") from None

@@ -1,7 +1,7 @@
 """Helpers shared by the solver tests: mode lookup in the stored
 half-spectrum, a field count over every scipy.fft entry point, the full
-transforms that the slab pipeline must reproduce, and the traced memory
-peak of one call."""
+transforms that the slab pipeline must reproduce, the run channels
+evaluated on the half-spectrum, and the traced memory peak of one call."""
 
 import tracemalloc
 from contextlib import contextmanager
@@ -10,7 +10,18 @@ from fractions import Fraction
 import numpy as np
 import scipy.fft
 
-from qglab import enforce_mean_zero, from_spectral, to_spectral
+from qglab import (
+    biot_savart,
+    decompose,
+    enforce_mean_zero,
+    from_spectral,
+    l2_norm,
+    max_divergence,
+    sobolev_norm,
+    to_spectral,
+)
+from qglab.diagnostics import S_LIST, hs_channel
+from qglab.sweep import _QGDIFF_S
 
 _REAL_PASSES = ("rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
 _COMPLEX_PASSES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
@@ -73,6 +84,46 @@ def full_pipeline(grid, batch, product, nout, buffers=None):
 def patch_full_transforms(monkeypatch, module):
     """Make ``module`` run its products through ``full_pipeline``."""
     monkeypatch.setattr(module, "_band_pipeline", full_pipeline)
+
+
+def half_spectrum_pe_channels(grid, U, froude, reference=None):
+    """The channels of one ``pe_run`` record of U, each norm taken on the
+    half-spectrum by ``sobolev_norm``; ``reference``, a half-spectrum
+    vorticity, adds the sweep's channels against it, the pv gap by
+    ``l2_norm``."""
+    dec = decompose(grid, U, froude)
+    values = {"max_div": max_divergence(grid, U)}
+    for s in S_LIST:
+        values[hs_channel("U", s)] = sobolev_norm(grid, U, s)
+        values[hs_channel("Uosc", s)] = sobolev_norm(grid, dec.osc, s)
+    if reference is not None:
+        values["l2_omega_diff"] = l2_norm(dec.omega - reference)
+        dqg = dec.qg - biot_savart(grid, reference, froude)
+        for s in _QGDIFF_S:
+            values[hs_channel("qgdiff", s)] = sobolev_norm(grid, dqg, s)
+    return values
+
+
+def half_spectrum_qg_channels(grid, omega, froude):
+    """The channels of one ``qg_run`` record of omega, on the half-spectrum."""
+    U = biot_savart(grid, omega, froude)
+    values = {hs_channel("omega", s): sobolev_norm(grid, omega, s) for s in (0.0, 1.0)}
+    values.update({hs_channel("Uqg", s): sobolev_norm(grid, U, s) for s in S_LIST})
+    return values
+
+
+def assert_channels_match(series, wanted):
+    """Every channel of ``series`` against the half-spectrum values of each
+    record, a list of dicts: ``max_div`` bit for bit, the norms to 1e-14
+    relative."""
+    assert set(series.channels) == set(wanted[0])
+    for name in series.channels:
+        got = series.channel(name)
+        want = np.array([w[name] for w in wanted])
+        if name == "max_div":
+            assert np.array_equal(got, want)
+        else:
+            assert np.all(np.abs(got - want) <= 1e-14 * want), name
 
 
 def traced_peak(fn, *args, **kwargs):

@@ -96,6 +96,13 @@ class TestConfigParsing:
         monkeypatch.setattr(qglab.config, "_available_bytes", lambda: None)
         parse_config_text("grid.n = 256\n" + short)
 
+    def test_one_epsilon_n256_sweep_fits_in_8_gb(self, monkeypatch):
+        # records read the compact band: the estimate no longer holds a
+        # record's 25 half-spectrum fields
+        monkeypatch.setattr(qglab.config, "_available_bytes", lambda: 8e9)
+        parse_config_text("grid.n = 256\ntime.t_end = 0.01\ntime.dt = 1e-3\n"
+                          "diag.cadence = 10\nsweep.epsilons = 0.1\n")
+
     def test_available_memory_reads_meminfo(self):
         have = qglab.config._available_bytes()
         if os.path.exists("/proc/meminfo"):
@@ -298,7 +305,8 @@ class TestCLI:
 
         monkeypatch.setattr(qglab.cli, "Grid", no_grid)
         monkeypatch.setattr(qglab.sweep, "Grid", no_grid)
-        monkeypatch.setattr(qglab.config, "_available_bytes", lambda: 200e6)
+        # the n=64 sweep of the tiny config is estimated at 197 MB, n=16 at 74 MB
+        monkeypatch.setattr(qglab.config, "_available_bytes", lambda: 150e6)
         code = cli_main([command, "--config", str(config_path),
                          "--out", str(tmp_path / "out"), "--override", "grid.n=64"])
         err = capsys.readouterr().err

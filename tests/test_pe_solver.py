@@ -1,6 +1,7 @@
 
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,9 +32,18 @@ from qglab import (
     vorticity_residual,
 )
 from qglab.config import ConfigError, DiagConfig, RunConfig
-from qglab.pe_solver import _linear_symbols, _nonlinear
+from qglab.diagnostics import S_LIST, _hs_norms, hs_channel
+from qglab.pe_solver import _linear_symbols, _nonlinear, _pe_channels
+from qglab.sweep import _reference_diag
 
-from half_spectrum import count_fields, half_index, patch_full_transforms, traced_peak
+from half_spectrum import (
+    assert_channels_match,
+    count_fields,
+    half_index,
+    half_spectrum_pe_channels,
+    patch_full_transforms,
+    traced_peak,
+)
 
 INVISCID = 1e-30  # positive but exp(-nu k^2 dt) == 1.0 exactly in float64
 
@@ -382,7 +392,9 @@ class TestPERun:
     @pytest.mark.parametrize("froude", [1.0, 0.5])
     @pytest.mark.parametrize("n", [16, 32])
     def test_run_is_a_loop_of_public_steps(self, n, froude):
-        # the compact run loop against pe_step on the half-spectrum, bit for bit
+        # the compact run loop against pe_step on the half-spectrum, bit for
+        # bit; the channels are the band norms of the stepped states, bit for
+        # bit, and their half-spectrum norms to 1e-14
         grid = Grid(n)
         p = Params(epsilon=0.02, nu=1e-2, nu_prime=5e-3, froude=froude)
         U0 = make_well_prepared_data(grid, RunConfig(params=p))
@@ -398,8 +410,44 @@ class TestPERun:
         assert all(np.array_equal(got, want)
                    for got, want in zip(rec.snapshots, states[::5], strict=True))
         assert np.array_equal(rec.final_state, states[-1])
-        assert list(rec.series.channel("hs_U_1")) == [
-            sobolev_norm(grid, W, 1.0) for W in states[::5]]
+        band = grid._band
+        weights = band.norm_weights(S_LIST)
+        norms = np.array([_hs_norms(band.cut(W), weights) for W in states[::5]])
+        for j, s in enumerate(S_LIST):
+            got = rec.series.channel(hs_channel("U", s))
+            assert np.array_equal(got, norms[:, j])
+            want = [sobolev_norm(grid, W, s) for W in states[::5]]
+            assert np.abs(got - want).max() <= 1e-14 * max(want)
+
+    @pytest.mark.parametrize("froude", [1.0, 0.5])
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_channels_match_the_half_spectrum(self, n, froude):
+        # every record's band evaluation against the half-spectrum one
+        grid = Grid(n)
+        p = Params(epsilon=0.02, nu=1e-2, nu_prime=5e-3, froude=froude)
+        U0 = make_well_prepared_data(grid, RunConfig(params=p))
+        rec = pe_run(grid, U0, p, 0.01, 1e-3, small_diag(cadence=2, snapshot_every=2))
+        assert_channels_match(rec.series, [
+            half_spectrum_pe_channels(grid, W, froude) for W in rec.snapshots])
+
+    def test_runs_cache_no_half_spectrum_weights(self, params):
+        # the records and the blow-up guard read the band's own weights
+        grid = Grid(16)
+        U0 = random_state(grid, np.random.default_rng(5))
+        pe_run(grid, U0, params, 0.02, 0.01, small_diag(cadence=1))
+        qg_run(grid, potential_vorticity(grid, U0), params, 0.02, 0.01,
+               small_diag(cadence=1))
+        assert grid._norm_weights == {}
+
+    def test_traced_peak_of_one_record_at_n64(self):
+        # one sweep-style record, pe_run's channels and the sweep's against
+        # the reference vorticity, on the compact band: traced at 12.4 MB
+        # (19 band fields), against 47.6 MB through the half-spectrum
+        grid = Grid(64)
+        U = random_state(grid, np.random.default_rng(64))
+        reference = SimpleNamespace(snapshots=[potential_vorticity(grid, U)])
+        channels = _pe_channels(grid, 1.0, _reference_diag(grid, reference, 1.0, 1))
+        assert traced_peak(channels, 0, 0.0, grid._band.cut(U)) <= 16e6
 
     def test_zero_initial_data(self, grid8, params):
         U0 = np.zeros((4,) + grid8.shape, dtype=complex)

@@ -21,8 +21,14 @@ from qglab import (
     to_spectral,
 )
 from qglab.config import DiagConfig
+from qglab.diagnostics import _hs_norms, hs_channel
 
-from half_spectrum import count_fields, patch_full_transforms
+from half_spectrum import (
+    assert_channels_match,
+    count_fields,
+    half_spectrum_qg_channels,
+    patch_full_transforms,
+)
 
 
 def diag(cadence=10, snapshot_every=0):
@@ -125,7 +131,9 @@ class TestQGRun:
     @pytest.mark.parametrize("froude", [1.0, 0.5])
     @pytest.mark.parametrize("n", [16, 32])
     def test_run_is_a_loop_of_public_steps(self, n, froude):
-        # the compact run loop against qg_step on the half-spectrum, bit for bit
+        # the compact run loop against qg_step on the half-spectrum, bit for
+        # bit; the channels are the band norms of the stepped vorticities, bit
+        # for bit, and their half-spectrum norms to 1e-14
         grid = Grid(n)
         p = Params(epsilon=0.02, nu=1e-2, nu_prime=5e-3, froude=froude)
         om = dealias(grid, random_scalar(grid, np.random.default_rng([n, 3])))
@@ -137,8 +145,25 @@ class TestQGRun:
         assert all(np.array_equal(got, want)
                    for got, want in zip(rec.snapshots, states[::5], strict=True))
         assert np.array_equal(rec.final_state, states[-1])
-        assert list(rec.series.channel("hs_omega_1")) == [
-            sobolev_norm(grid, w, 1.0) for w in states[::5]]
+        band = grid._band
+        weights = band.norm_weights((0.0, 1.0))
+        norms = np.array([_hs_norms(band.cut(w), weights) for w in states[::5]])
+        for j, s in enumerate((0.0, 1.0)):
+            got = rec.series.channel(hs_channel("omega", s))
+            assert np.array_equal(got, norms[:, j])
+            want = [sobolev_norm(grid, w, s) for w in states[::5]]
+            assert np.abs(got - want).max() <= 1e-14 * max(want)
+
+    @pytest.mark.parametrize("froude", [1.0, 0.5])
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_channels_match_the_half_spectrum(self, n, froude):
+        # every record's band evaluation against the half-spectrum one
+        grid = Grid(n)
+        p = Params(epsilon=0.02, nu=1e-2, nu_prime=5e-3, froude=froude)
+        om = dealias(grid, random_scalar(grid, np.random.default_rng([n, 3])))
+        rec = qg_run(grid, om, p, 0.01, 1e-3, diag(cadence=2, snapshot_every=2))
+        assert_channels_match(rec.series, [
+            half_spectrum_qg_channels(grid, w, froude) for w in rec.snapshots])
 
     def test_zero_run(self, grid16, params):
         om0 = np.zeros(grid16.shape, dtype=complex)

@@ -26,6 +26,9 @@ from qglab.spectral import (
     spectral_product,
 )
 
+from qglab.diagnostics import S_LIST
+from qglab.sweep import _QGDIFF_S
+
 from half_spectrum import full_pipeline, traced_peak
 
 
@@ -346,6 +349,16 @@ class TestBandLayout:
             table = np.broadcast_to(getattr(g, name), g.shape)
             assert np.array_equal(np.broadcast_to(getattr(band, name), band.shape),
                                   band.cut(table))
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_norm_weights_are_the_band_of_the_grid_weights(self, n):
+        # every s a run or the sweep reads, bit for bit
+        g = Grid(n)
+        orders = sorted(set(S_LIST) | set(_QGDIFF_S))
+        weights = g._band.norm_weights(orders)
+        assert weights.shape == (len(orders),) + g._band.shape
+        for w, s in zip(weights, orders, strict=True):
+            assert np.array_equal(w, g._band.cut(g.norm_weights(s)))
 
 
 def physical_slabs(g, f):

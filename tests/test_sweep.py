@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ import qglab.pe_solver
 import qglab.sweep
 from qglab import NormSeries, export, fit_rate, random_state, run_convergence_sweep
 from qglab.config import ConfigError, default_config
-from qglab.sweep import METRIC_NAMES, SweepResult, resolve_time
+from qglab.sweep import _METRICS, METRIC_NAMES, SweepResult, resolve_time
+
+from half_spectrum import assert_channels_match, half_spectrum_pe_channels
 
 
 class TestFitRate:
@@ -99,6 +102,37 @@ class TestRunConvergenceSweep:
             slope, intercept, resid = result.rates[name]
             assert np.isfinite(slope)
         assert len(result.pe_records) == 2
+
+    @pytest.mark.parametrize("froude", [1.0, 0.5])
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_channels_and_metrics_match_the_half_spectrum(self, n, froude):
+        # each run's records against their half-spectrum evaluation, and the
+        # metrics and rates reduced from that evaluation; the rates to 1e-14
+        # of max(|value|, 1), since they are in log units and the rms
+        # residual of a near-exact fit is a difference of close logs
+        cfg = tiny_sweep_config(epsilons=(0.1, 0.05, 0.02))
+        cfg.grid.n = n
+        cfg.params = replace(cfg.params, froude=froude)
+        cfg.time.t_end, cfg.time.dt = 0.01, 1e-3
+        cfg.diag.cadence = cfg.diag.snapshot_every = 2
+        result = run_convergence_sweep(cfg)
+        grid = result.qg_record.grid
+        metrics = {name: [] for name in METRIC_NAMES}
+        for eps, record in zip(result.epsilons, result.pe_records, strict=True):
+            wanted = [half_spectrum_pe_channels(grid, W, froude, reference)
+                      for W, reference in zip(record.snapshots,
+                                              result.qg_record.snapshots, strict=True)]
+            assert_channels_match(record.series, wanted)
+            series = NormSeries()
+            for t, values in zip(record.series.times, wanted):
+                series.append(t, values)
+            for name, reduce in _METRICS.items():
+                metrics[name].append(reduce(series, cfg.params.nu, cfg.params.nu_prime))
+        for name in METRIC_NAMES:
+            got, want = np.array(result.metrics[name]), np.array(metrics[name])
+            assert np.all(np.abs(got - want) <= 1e-14 * want), name
+            got, want = np.array(result.rates[name]), np.array(fit_rate(result.epsilons, want))
+            assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1.0)), name
 
     def test_single_epsilon_has_nan_slope(self):
         cfg = tiny_sweep_config(epsilons=(0.1,))
