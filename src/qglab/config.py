@@ -28,7 +28,8 @@ Documented ranges:
 * sweep.epsilons: strictly decreasing positive values
 * memory: the estimated peak of a sweep of the config (``_peak_bytes``), the
   largest run a config drives, must fit in the memory the system reports
-  available
+  available; for ``time.dt = auto`` it is checked again at the step count
+  that ``sweep.resolve_time`` takes, before any run
 """
 
 from __future__ import annotations
@@ -227,10 +228,11 @@ def _available_bytes():
 _BASE_BYTES = 70e6
 
 
-def _peak_bytes(cfg):
-    """Estimated peak resident bytes of a sweep of ``cfg``, which holds the
-    most of any command: one complex half-spectrum field is 16 n^2 (n/2+1)
-    bytes, one compact band field 16 (2b+1)^2 (b+1) with b = n//3.
+def _peak_bytes(cfg, n_steps=None):
+    """Estimated peak resident bytes of a sweep of ``cfg`` over ``n_steps``
+    steps, which holds the most of any command: one complex half-spectrum
+    field is 16 n^2 (n/2+1) bytes, one compact band field 16 (2b+1)^2 (b+1)
+    with b = n//3.
 
     * the compact state, the Lawson stages and the transform batch (49 band
       fields), the compact 4x4 factor (8 band fields) and the real H^s
@@ -247,27 +249,32 @@ def _peak_bytes(cfg):
       traced peak at n = 32, 64 and 128), plus the one expansion of the
       state to the half-spectrum (4 fields) that a snapshot or the final
       state takes;
-    * the grid's tables and cached weights, the initial data's draws and
-      the allocator's slack: 9 half-spectrum fields, fitted to the measured
-      peaks of sweeps at n = 32, 64 and 128;
+    * the grid's tables, the initial data's draws with the H^s weights of
+      their scalings (built per call, held by nothing) and the allocator's
+      slack: 8 half-spectrum fields, fitted to the measured peaks of sweeps
+      at n = 32, 64 and 128;
     * held records: the initial state and the final state of every epsilon
       (8 fields each), the reference vorticity at every record (1 field
-      each) and any snapshots (4 fields each, every epsilon). The step count
-      of ``time.dt = auto`` is taken at its least, t_end / dt = 1000.
+      each) and any snapshots (4 fields each, every epsilon).
+
+    ``n_steps`` defaults to the step count of ``time.dt``; ``auto`` is
+    resolved only once the initial data exist, so it is taken here at its
+    least, t_end / dt = 1000, and ``sweep.resolve_time`` checks again at the
+    count it resolves.
     """
     n, b = cfg.grid.n, cfg.grid.n // 3
     half = 16 * n * n * (n // 2 + 1)
     band = 16 * (2 * b + 1) ** 2 * (b + 1)
     d, n_eps = cfg.diag, len(cfg.sweep.epsilons)
-    if cfg.time.dt is None:
+    if n_steps is None and cfg.time.dt is None:
         n_steps = math.ceil(1000 / d.cadence) * d.cadence
-    else:
+    elif n_steps is None:
         n_steps = _step_count(cfg.time.t_end, cfg.time.dt)
     snapshots = n_steps // d.snapshot_every + 1 if d.snapshot_every else 0
     held = n_eps * (8 + 4 * snapshots) + n_steps // d.cadence + 1
     step = (16 * n * (b + 1) * (9 * (2 * b + 1) + 4 * n)
             + max(_SLAB_BYTES, 13 * 8 * n * (2 * n + 2)))
-    working = 63 * band + max(step, 19 * band + 4 * half) + 9 * half
+    working = 63 * band + max(step, 19 * band + 4 * half) + 8 * half
     return _BASE_BYTES + working + held * half
 
 
@@ -317,9 +324,15 @@ def validate_config(cfg):
         if target > 0 and not np.all(squares < np.inf):
             raise ConfigError(f"{key}: an H^s norm of the initial data would "
                               f"overflow at grid.box_length={g.box_length:g}")
-    need, have = _peak_bytes(cfg), _available_bytes()
-    if have is not None and need > have:
-        raise ConfigError(f"grid.n={g.n}: a sweep of this config, its records "
-                          f"included, needs about {need / 1e9:.2g} GB, more than "
-                          f"the {have / 1e9:.2g} GB of memory available")
+    _check_memory(cfg)
     return cfg
+
+
+def _check_memory(cfg, n_steps=None):
+    """ConfigError unless a sweep of ``cfg`` over ``n_steps`` steps (see
+    ``_peak_bytes``) fits in the memory the system reports available."""
+    need, have = _peak_bytes(cfg, n_steps), _available_bytes()
+    if have is not None and need > have:
+        raise ConfigError(f"grid.n={cfg.grid.n}: a sweep of this config, its "
+                          f"records included, needs about {need / 1e9:.2g} GB, "
+                          f"more than the {have / 1e9:.2g} GB of memory available")

@@ -1,17 +1,20 @@
 r"""Norms, truncations, residuals and global-existence condition monitors.
 
-Homogeneous Sobolev norms are spectral sums over the nonzero modes,
+Homogeneous Sobolev norms, for s in [-2, 3], are spectral sums over the
+nonzero modes,
 
     ||f||_{H^s} = ( sum_{k != 0} |xi_k|^(2s) |f_hat_k|^2 )^(1/2),
 
 with the box-average coefficient normalization of :mod:`qglab.spectral`, so
 s = 0 reproduces the physical L2 norm exactly. The sum runs over the full
 spectrum; on the stored half-spectrum it carries the k3 plane weight of
-:meth:`Grid.norm_weights`. The channels that ``pe_run``, ``qg_run`` and the
-sweep record are the same sums taken over the compact 2/3 band the solvers
-step, against the band's own weights (``_Band.norm_weights``, the band of
-the grid's, bit for bit): the state is band-limited, so they equal the
-half-spectrum norms up to the order of the summation, about 1e-15 relative.
+:meth:`Grid.norm_weights`, whose rows each call builds afresh, so no
+weights outlive the norm that reads them. The channels that ``pe_run``,
+``qg_run`` and the sweep record are the same sums taken over the compact
+2/3 band the solvers step, against the band's own weights
+(``_Band.norm_weights``, the band of the grid's, bit for bit): the state
+is band-limited, so they equal the half-spectrum norms up to the order of
+the summation, about 1e-15 relative.
 Each record reads all the norms of a field in one fused reduction,
 ``_hs_norms``. The combined space-time norm of a time series is
 
@@ -155,12 +158,9 @@ def hs_channel(field, s):
 
 def sobolev_norm(grid, f, s):
     """Homogeneous H^s norm of a scalar or multi-component spectral field."""
-    s = float(s)
-    if not -2.0 <= s <= 3.0:
-        raise ValueError(f"s={s} outside the supported range [-2, 3]")
     a = np.abs(f)
     a *= a
-    a *= grid.norm_weights(s)
+    a *= grid.norm_weights((s,))[0]
     return float(np.sqrt(np.sum(a)))
 
 
@@ -178,7 +178,7 @@ def _hs_norms(f, weights):
 
 def hs_inner(grid, f, g, s):
     """Homogeneous H^s inner product (real part), components pooled."""
-    w = grid.norm_weights(float(s))
+    w = grid.norm_weights((s,))[0]
     return float(np.sum(w * f * np.conj(g)).real)
 
 

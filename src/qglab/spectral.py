@@ -14,7 +14,12 @@ Parseval is therefore the plane-weighted sum
     mean(|f|^2) = sum_k w(k3) |coeff[k]|^2,   w = 2 inside, 1 on k3 = 0, n/2.
 
 All L2 norms and inner products below use that box-average convention and
-weight, which makes every norm a weighted coefficient sum.
+weight, which makes every norm a weighted coefficient sum. The compact band
+below holds no Nyquist plane, so there w = 1 on k3 = 0 alone; one rule,
+``_doubled_planes``, reads which planes count twice from a layout's shape, for
+``l2_norm`` and ``l2_inner`` on either layout and for the H^s weights
+(``Grid.norm_weights``, ``_Band.norm_weights``), which one builder makes per
+call and nothing holds.
 
 Differentiation multiplies by i*xi with xi = (2*pi/L)*k and the Nyquist row
 zeroed (the odd-derivative ambiguity of the +/- n/2 mode). The same
@@ -84,14 +89,16 @@ _AXES = (-3, -2, -1)
 
 
 class Grid:
-    """Cubic periodic grid with cached half-spectrum wavevector tables.
+    """Cubic periodic grid with its half-spectrum wavevector tables.
 
     n must be a power of two, at least 8. Spectral fields have shape
     ``shape = (n, n, n//2 + 1)``. ``kd1/kd2/kd3`` are the scaled,
     Nyquist-zeroed wavevectors used by every operator symbol; ``kmag2`` keeps
-    the true +/- n/2 magnitudes and is reserved for norm weights.
-    ``band_edge = n // 3`` bounds the 2/3 band, |k_j| <= band_edge, which
-    ``dealias_mask`` marks.
+    the true +/- n/2 magnitudes for the norm weights, the low-pass and the
+    random draws. ``band_edge = n // 3`` bounds the 2/3 band, |k_j| <=
+    band_edge, which ``dealias_mask`` marks. The tables are all a grid
+    holds, besides the compact band ``_band`` once a run asks for it: H^s
+    weights are built per call.
     """
 
     def __init__(self, n, box_length=2.0 * np.pi):
@@ -127,7 +134,6 @@ class Grid:
             keep.reshape(n, 1, 1) & keep.reshape(1, n, 1)
             & keep[:nh].reshape(1, 1, nh)
         )
-        self._norm_weights = {}
 
     @cached_property
     def _band(self):
@@ -140,14 +146,9 @@ class Grid:
         return np.meshgrid(x, x, x, indexing="ij")
 
     def norm_weights(self, s):
-        """|xi|^(2s) times the k3 plane weight, k=0 zeroed, cached per s."""
-        s = float(s)
-        w = self._norm_weights.get(s)
-        if w is None:
-            w = _hs_weights(self.kmag2, (s,), slice(1, -1))[0]
-            w.setflags(write=False)
-            self._norm_weights[s] = w
-        return w
+        """The half-spectrum H^s weights for each s of a sequence, shape
+        (len(s),) + shape (see ``_hs_weights``)."""
+        return _hs_weights(self.kmag2, s)
 
     def check_shape(self, f, ncomp=None):
         if ncomp is None:
@@ -193,11 +194,9 @@ class _Band:
         self.kd_mag2 = self.cut(grid.kd_mag2)
 
     def norm_weights(self, s):
-        """The H^s weights of the band for each s of a sequence, shape
-        (len(s),) + shape: the band of ``Grid.norm_weights``, bit for bit,
-        with plane weight 2 off k3 = 0, since the band has no Nyquist plane.
-        Built per call, never cached."""
-        return _hs_weights(self.kd_mag2, s, slice(1, None))
+        """The band's H^s weights for each s of a sequence, shape (len(s),)
+        + shape: the band of ``Grid.norm_weights``, bit for bit."""
+        return _hs_weights(self.kd_mag2, s)
 
     def cut(self, f):
         """The band of half-spectra (..., n, n, n//2+1), as a new compact array."""
@@ -213,16 +212,26 @@ class _Band:
         return out
 
 
-def _hs_weights(kmag2, s, doubled):
+def _doubled_planes(shape):
+    """The slice of k3 planes of a half-spectrum or of the compact band that
+    count twice in a full-spectrum sum, since they stand for their conjugate
+    partners too: all but k3 = 0 and the Nyquist plane, which exists only
+    where the k1 axis has even length, that is, on a half-spectrum."""
+    return slice(1, shape[-1] - 1 if shape[-3] % 2 == 0 else None)
+
+
+def _hs_weights(kmag2, s):
     """|xi|^(2s) times the k3 plane weight, k=0 zeroed, for each s of a
-    sequence, shape (len(s),) + kmag2.shape: ``kmag2`` holds the true
-    squared mode magnitudes and ``doubled`` slices the k3 planes that
-    stand for a conjugate pair."""
+    sequence, shape (len(s),) + kmag2.shape: ``kmag2`` holds the true squared
+    mode magnitudes of a half-spectrum or of the band. ValueError for an s
+    outside the supported range [-2, 3]."""
     w = np.empty((len(s),) + kmag2.shape)
     with np.errstate(divide="ignore"):
-        for row, si in zip(w, s):
-            row[...] = kmag2 ** float(si)
-    w[..., doubled] *= 2.0
+        for row, si in zip(w, map(float, s)):
+            if not -2.0 <= si <= 3.0:
+                raise ValueError(f"s={si} outside the supported range [-2, 3]")
+            row[...] = kmag2 ** si
+    w[..., _doubled_planes(kmag2.shape)] *= 2.0
     w[..., 0, 0, 0] = 0.0
     return w
 
@@ -297,11 +306,11 @@ def _band_forward(grid, spec):
     """The dealiased mean-zero compact band of half-spectra whose real pass,
     kept to its k3 <= b planes, is ``spec`` (..., n, n, b+1): the k1 pass,
     then the k2 pass on the band's k1 rows, both in place in ``spec``."""
-    n, b, rows = grid.n, grid.band_edge, grid._band._rows
+    n, b = grid.n, grid.band_edge
     _in_place(_fft.fft, spec, axis=-3)
     _in_place(_fft.fft, spec[..., :b + 1, :, :], axis=-2)
     _in_place(_fft.fft, spec[..., n - b:, :, :], axis=-2)
-    return enforce_mean_zero(spec[..., rows[:, None], rows, :])
+    return enforce_mean_zero(grid._band.cut(spec))
 
 
 def _pipeline_buffers(grid, nf, nout):
@@ -456,21 +465,23 @@ def advect(grid, v, U):
 
 
 def _plane_sum(a):
-    """Full-spectrum sum of a per-mode real quantity stored on the half
-    spectrum: interior k3 planes count twice."""
-    return 2.0 * a.sum() - a[..., 0].sum() - a[..., -1].sum()
+    """Full-spectrum sum of a per-mode real quantity stored on a half-spectrum
+    or on the band: twice the sum, less k3 = 0 and any Nyquist plane, the
+    planes that ``_doubled_planes`` leaves out."""
+    nyquist = _doubled_planes(a.shape).stop
+    total = 2.0 * a.sum() - a[..., 0].sum()
+    return total if nyquist is None else total - a[..., nyquist].sum()
 
 
 def l2_norm(f):
-    """Box-average L2 norm of half-spectra, all components pooled. Half-spectra
-    only: its plane weight takes the last k3 plane for the Nyquist plane, so
-    it mis-weights a compact band array (use ``_Band.norm_weights``)."""
+    """Box-average L2 norm of half-spectra or compact band arrays, all
+    components pooled."""
     return float(np.sqrt(_plane_sum(np.abs(f) ** 2)))
 
 
 def l2_inner(f, g):
-    """Box-average L2 inner product of half-spectra (real part); half-spectra
-    only, as for :func:`l2_norm`."""
+    """Box-average L2 inner product (real part) of half-spectra or compact
+    band arrays."""
     return float(_plane_sum((f * np.conj(g)).real))
 
 

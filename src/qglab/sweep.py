@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _check_steps, _step_count, validate_config
+from .config import _check_memory, _check_steps, _step_count, validate_config
 from .diagnostics import _hs_norms, hs_channel, space_time_norm
 from .initial_data import make_well_prepared_data
 from .operators import biot_savart, potential_vorticity
@@ -62,7 +62,9 @@ def resolve_time(config, grid, U0):
     """Step size and count of a validated config: time.dt as given, or for
     ``auto`` the advective CFL min(0.5 dx / max|v0|, t_end/1000) (the linear
     part is exact) rounded down to tile t_end in whole diag.cadence periods.
-    ConfigError if that is more than ``config._MAX_STEPS`` steps."""
+    ConfigError if that is more than ``config._MAX_STEPS`` steps, or if a
+    sweep over them would not fit in memory: ``validate_config`` can count
+    only the least steps of ``auto``."""
     t_end = config.time.t_end
     if config.time.dt is not None:
         return config.time.dt, _step_count(t_end, config.time.dt)
@@ -71,7 +73,8 @@ def resolve_time(config, grid, U0):
     cfl = 0.5 * (grid.box_length / grid.n) / vmax if vmax > 0 else math.inf
     dt_raw = min(cfl, t_end / 1000.0)
     n_steps = int(math.ceil(t_end / dt_raw / cadence)) * cadence
-    return t_end / n_steps, _check_steps(t_end / n_steps, n_steps)
+    _check_memory(config, _check_steps(t_end / n_steps, n_steps))
+    return t_end / n_steps, n_steps
 
 
 @dataclass

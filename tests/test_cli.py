@@ -305,13 +305,29 @@ class TestCLI:
 
         monkeypatch.setattr(qglab.cli, "Grid", no_grid)
         monkeypatch.setattr(qglab.sweep, "Grid", no_grid)
-        # the n=64 sweep of the tiny config is estimated at 197 MB, n=16 at 74 MB
+        # the n=64 sweep of the tiny config is estimated at 195 MB, n=16 at 74 MB
         monkeypatch.setattr(qglab.config, "_available_bytes", lambda: 150e6)
         code = cli_main([command, "--config", str(config_path),
                          "--out", str(tmp_path / "out"), "--override", "grid.n=64"])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: grid.n=64: ") and "GB" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_refused_at_its_auto_step_count(self, tmp_path, capsys, monkeypatch):
+        # the defaults at t_end=1000 pass validation at the least auto step
+        # count and are refused once auto resolves to the CFL limit
+        def no_run(*args, **kwargs):
+            raise AssertionError("reference run started")
+
+        monkeypatch.setattr(qglab.sweep, "qg_run", no_run)
+        monkeypatch.setattr(qglab.config, "_available_bytes", lambda: 150e6)
+        path = tmp_path / "defaults.cfg"
+        path.write_text("")
+        code = cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--override", "time.t_end=1000"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: grid.n=32: ")
         assert not (tmp_path / "out").exists()
 
     def test_run_pe(self, config_path, tmp_path, capsys):

@@ -8,6 +8,7 @@ from qglab import (
     Params,
     bootstrap_monitor,
     hs_channel,
+    hs_inner,
     l2_norm,
     lowpass,
     lowpass_profile,
@@ -86,10 +87,11 @@ class TestSobolevNorm:
 
     def test_range_validation(self, grid32, rng):
         f = random_scalar(grid32, rng)
-        with pytest.raises(ValueError):
-            sobolev_norm(grid32, f, 3.5)
-        with pytest.raises(ValueError):
-            sobolev_norm(grid32, f, -2.5)
+        for norm in (sobolev_norm, lambda grid, f, s: hs_inner(grid, f, f, s)):
+            with pytest.raises(ValueError):
+                norm(grid32, f, 3.5)
+            with pytest.raises(ValueError):
+                norm(grid32, f, -2.5)
 
     def test_interpolation_inequality(self, grid32, rng):
         for _ in range(20):

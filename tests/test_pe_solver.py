@@ -18,6 +18,7 @@ from qglab import (
     dealias,
     decompose,
     energy_check,
+    hs_inner,
     l2_norm,
     leray_project,
     make_well_prepared_data,
@@ -27,6 +28,7 @@ from qglab import (
     potential_vorticity,
     qg_run,
     random_state,
+    smallness_condition,
     sobolev_norm,
     to_spectral,
     vorticity_residual,
@@ -431,13 +433,19 @@ class TestPERun:
             half_spectrum_pe_channels(grid, W, froude) for W in rec.snapshots])
 
     def test_runs_cache_no_half_spectrum_weights(self, params):
-        # the records and the blow-up guard read the band's own weights
+        # H^s weights are built per call: after the data, both runs and the
+        # half-spectrum norms the grid holds its tables and the runs' band
         grid = Grid(16)
-        U0 = random_state(grid, np.random.default_rng(5))
+        U0 = make_well_prepared_data(grid, RunConfig(params=params))
         pe_run(grid, U0, params, 0.02, 0.01, small_diag(cadence=1))
         qg_run(grid, potential_vorticity(grid, U0), params, 0.02, 0.01,
                small_diag(cadence=1))
-        assert grid._norm_weights == {}
+        sobolev_norm(grid, U0, 1.0)
+        hs_inner(grid, U0, U0, -1.0)
+        smallness_condition(grid, U0, params)
+        held, built = vars(grid), vars(Grid(16))
+        assert set(held) == set(built) | {"_band"}
+        assert all(np.array_equal(held[name], table) for name, table in built.items())
 
     def test_traced_peak_of_one_record_at_n64(self):
         # one sweep-style record, pe_run's channels and the sweep's against

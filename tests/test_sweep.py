@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import qglab.config
 import qglab.pe_solver
 import qglab.sweep
-from qglab import NormSeries, export, fit_rate, random_state, run_convergence_sweep
+from qglab import Grid, NormSeries, export, fit_rate, random_state, run_convergence_sweep
 from qglab.config import ConfigError, default_config
 from qglab.sweep import _METRICS, METRIC_NAMES, SweepResult, resolve_time
 
@@ -91,6 +92,33 @@ class TestRunConvergenceSweep:
         cfg.time.dt = dt
         with pytest.raises(ConfigError):
             run_convergence_sweep(cfg)
+
+    def test_auto_dt_refused_when_its_records_do_not_fit(self, monkeypatch):
+        # n=32, t_end=1000: validated at the least auto count, 1000 steps (118
+        # MB), the CFL limit then takes 4690 steps (221 MB), more than 150 MB
+        def no_run(*args, **kwargs):
+            raise AssertionError("reference run started")
+
+        monkeypatch.setattr(qglab.sweep, "qg_run", no_run)
+        monkeypatch.setattr(qglab.config, "_available_bytes", lambda: 150e6)
+        cfg = default_config()
+        cfg.time.t_end = 1000.0
+        with pytest.raises(ConfigError, match="grid.n=32: .* 0.22 GB"):
+            run_convergence_sweep(cfg)
+
+    def test_grid_holds_only_its_tables(self, monkeypatch):
+        # the sweep's data, runs and records build their weights per call
+        grids = []
+
+        def recorded_grid(*args):
+            grids.append(Grid(*args))
+            return grids[-1]
+
+        monkeypatch.setattr(qglab.sweep, "Grid", recorded_grid)
+        run_convergence_sweep(tiny_sweep_config())
+        held, built = vars(grids[0]), vars(Grid(16))
+        assert set(held) == set(built) | {"_band"}
+        assert all(np.array_equal(held[name], table) for name, table in built.items())
 
     def test_tiny_sweep_structure(self):
         cfg = tiny_sweep_config()
