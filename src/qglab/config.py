@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import S_LIST
-from .spectral import _SLAB_BYTES, Params
+from .spectral import Params, _pipeline_bytes
 
 __all__ = [
     "ConfigError",
@@ -239,10 +239,8 @@ def _peak_bytes(cfg, n_steps=None):
       weights a run holds for its records and its guard (11, as 6 band
       fields);
     * the larger of a step's transforms and a record. A step's transforms
-      are the slab pipeline's buffers, about 53 n^3 bytes: the k1 lines of
-      the 9 inverse fields, n (2b+1)(b+1) modes each, and the 4 forward
-      fields, n^2 (b+1) modes each, with one slab of all 13 fields,
-      ``spectral._SLAB_BYTES`` or one x1 plane if that is larger. A record
+      are the slab pipeline's working set for its 9 inverse and 4 forward
+      fields, ``spectral._pipeline_bytes``, about 53 n^3 bytes. A record
       reads every channel on the compact state: its decomposition, the
       reference vorticity cut to the band, that vorticity's Biot-Savart
       state, the gaps and the temporaries of the norms, 19 band fields (the
@@ -272,8 +270,7 @@ def _peak_bytes(cfg, n_steps=None):
         n_steps = _step_count(cfg.time.t_end, cfg.time.dt)
     snapshots = n_steps // d.snapshot_every + 1 if d.snapshot_every else 0
     held = n_eps * (8 + 4 * snapshots) + n_steps // d.cadence + 1
-    step = (16 * n * (b + 1) * (9 * (2 * b + 1) + 4 * n)
-            + max(_SLAB_BYTES, 13 * 8 * n * (2 * n + 2)))
+    step = _pipeline_bytes(n, 9, 4)
     working = 63 * band + max(step, 19 * band + 4 * half) + 8 * half
     return _BASE_BYTES + working + held * half
 

@@ -234,7 +234,9 @@ def vorticity_residual(record, params):
     and the source is :func:`osc_vorticity_source`. The time derivative is
     taken from centered differences of the snapshot vorticities. Returns a
     NormSeries with one channel ``vorticity_residual`` holding the L2
-    residual relative to the largest of the five assembled terms.
+    residual relative to the largest of the five assembled terms. The
+    record must be a ``pe_run``'s: ValueError if a snapshot is not a
+    4-component state, before any operator runs.
     """
     snaps = record.snapshots
     times = record.snapshot_times
@@ -248,6 +250,11 @@ def vorticity_residual(record, params):
     ds = float(spacings[0])
 
     grid = record.grid
+    try:
+        for W in snaps:
+            grid.check_shape(W, 4)
+    except ValueError as err:
+        raise ValueError(f"the residual needs a pe_run record: {err}") from None
     F = params.froude
     out = NormSeries()
     pv = [potential_vorticity(grid, W, F) for W in snaps]
@@ -276,6 +283,8 @@ class BootstrapReport:
 
 def bootstrap_monitor(series, nu, nu_prime, c_const=1.0):
     """Time-integrated squared H^3/2 oscillating norm vs its budget."""
+    if c_const <= 0:
+        raise ValueError(f"c_const must be positive, got {c_const}")
     t = series.time_array()
     h32 = series.channel(hs_channel("Uosc", 1.5))
     integral = float(np.trapezoid(h32**2, t))

@@ -41,12 +41,7 @@ from functools import partial
 
 import numpy as np
 
-from .spectral import (
-    derivative,
-    from_spectral,
-    inverse_anisotropic_laplacian,
-    spectral_product,
-)
+from .spectral import _band_pipeline, derivative, inverse_anisotropic_laplacian
 
 __all__ = [
     "potential_vorticity",
@@ -129,24 +124,31 @@ def osc_vorticity_source(grid, U_osc, U, U_qg, froude=1.0):
 
     the theta terms carrying the F of pv's -F d3 theta.
 
-    Vanishes identically when the oscillating part is zero.
+    The three states are cut to the 2/3 band, which drops any mode outside
+    it, and their 18 derivative factors go through one call of the slab
+    pipeline (``spectral._band_pipeline``). Vanishes identically when the
+    oscillating part is zero.
     """
-    for W in (U_osc, U, U_qg):
-        grid.check_shape(np.asarray(W), 4)
+    states = [np.asarray(W) for W in (U_osc, U, U_qg)]
+    for W in states:
+        grid.check_shape(W, 4)
+    band = grid._band
+    U_osc, U, U_qg = (band.cut(W) for W in states)
+    dh = partial(derivative, band)
+    batch = np.empty((18,) + band.shape, dtype=np.complex128)
+    batch[:6] = (dh(U_osc[2], 3), dh(U[1], 1) - dh(U[0], 2), dh(U_osc[2], 1),
+                 dh(U[1], 3), dh(U_osc[2], 2), dh(U[0], 3))
+    for i, (W, V) in ((6, (U_qg, U_osc)), (12, (U_osc, U))):  # F d3 v_W . grad theta_V
+        batch[i:i + 3] = dh(W[:3], 3)
+        batch[i + 3:i + 6] = [froude * dh(V[3], ax) for ax in (1, 2, 3)]
+    return band.expand(_band_pipeline(grid, batch, _source_products, 1)[0])
 
-    dh = partial(derivative, grid)
 
-    def samples(*factors):
-        return from_spectral(grid, np.stack(factors))
-
-    # the sum's three groups of six factors, inverse-transformed one group
-    # at a time
-    p = samples(dh(U_osc[2], 3), dh(U[1], 1) - dh(U[0], 2), dh(U_osc[2], 1),
-                dh(U[1], 3), dh(U_osc[2], 2), dh(U[0], 3))
+def _source_products(p):
+    """The source of a physical slab of its 18 factors, shape (1, S, n, n):
+    the vorticity triple, then each F d3 v . grad theta triple, in the
+    order the factors are stacked."""
     q = p[0] * p[1] - p[2] * p[3] + p[4] * p[5]
-    for W, V in ((U_qg, U_osc), (U_osc, U)):  # F d3 v_W . grad theta_V
-        del p
-        p = samples(*[dh(W[j], 3) for j in range(3)],
-                    *[froude * dh(V[3], ax) for ax in (1, 2, 3)])
-        q += p[0] * p[3] + p[1] * p[4] + p[2] * p[5]
-    return spectral_product(grid, q)
+    for i in (6, 12):
+        q += p[i] * p[i + 3] + p[i + 1] * p[i + 4] + p[i + 2] * p[i + 5]
+    return q[None]

@@ -47,13 +47,19 @@ lines; then each x1 slab of a few planes takes the k2 pass, the real pass,
 the caller's product and the forward real pass, whose k3 <= b planes it
 keeps; last come the forward k1 pass and the k2 pass on the band's k1 rows.
 The slab's planes are as many as fit one fixed working set, ``_SLAB_BYTES``,
-so a small grid is a single slab; a solver step lends the four products of
-its stages one set of the pipeline's buffers. A line of zeros transforms to exact zeros,
+so a small grid is a single slab, and ``_pipeline_bytes`` states what a call
+holds; a solver step lends the four products of its stages one set of the
+pipeline's buffers. A line of zeros transforms to exact zeros,
 each transformed line goes through the same pocketfft arithmetic as in
 ``irfftn`` and ``rfftn``, which take their axes in this order, and the
 per-pass 1/n scalings are exact powers of two, so the physical slabs equal
 ``from_spectral``'s and the result the band of ``rfftn``'s, bit for bit.
-``spectral_product`` runs the same forward passes on a whole physical cube.
+
+The pipeline is the one path of the program's pseudo-spectral products, the
+solvers' and the oscillating vorticity source's
+(``operators.osc_vorticity_source``). Only ``advect``, the convective
+reference, forms its products on whole cubes, through ``spectral_product``:
+the masked full transform, which the pipeline matches.
 
 The dynamical convention throughout the package is mean-zero: the k=0
 coefficient of every evolved field is pinned to zero.
@@ -302,15 +308,20 @@ def _in_place(transform, view, **kwargs):
         view[...] = out
 
 
-def _band_forward(grid, spec):
-    """The dealiased mean-zero compact band of half-spectra whose real pass,
-    kept to its k3 <= b planes, is ``spec`` (..., n, n, b+1): the k1 pass,
-    then the k2 pass on the band's k1 rows, both in place in ``spec``."""
-    n, b = grid.n, grid.band_edge
-    _in_place(_fft.fft, spec, axis=-3)
-    _in_place(_fft.fft, spec[..., :b + 1, :, :], axis=-2)
-    _in_place(_fft.fft, spec[..., n - b:, :, :], axis=-2)
-    return enforce_mean_zero(grid._band.cut(spec))
+def _plane_bytes(n, nf, nout):
+    """The bytes one x1 plane of ``_band_pipeline``'s slab takes for ``nf``
+    fields in and ``nout`` out: the k2 buffer and the physical fields, the
+    products and their real pass."""
+    return 8 * n * (2 * (n // 2 + 1) + n) * (nf + nout)
+
+
+def _pipeline_bytes(n, nf, nout):
+    """The working set of ``_band_pipeline`` on an n^3 grid: the k1 lines and
+    the forward real pass of ``_pipeline_buffers``, and one slab,
+    ``_SLAB_BYTES`` or one x1 plane if that is larger."""
+    b = n // 3
+    return (16 * n * (b + 1) * (nf * (2 * b + 1) + nout * n)
+            + max(_SLAB_BYTES, _plane_bytes(n, nf, nout)))
 
 
 def _pipeline_buffers(grid, nf, nout):
@@ -321,9 +332,7 @@ def _pipeline_buffers(grid, nf, nout):
     allocation each time."""
     n, b = grid.n, grid.band_edge
     nh = n // 2 + 1
-    # per x1 plane: the k2 buffer and the physical fields, the products and
-    # their real pass
-    size = _slab_planes(n, 8 * n * (2 * nh + n) * (nf + nout))
+    size = _slab_planes(n, _plane_bytes(n, nf, nout))
     return (np.empty((nf, n, 2 * b + 1, b + 1), dtype=np.complex128),
             np.empty((nout, n, n, b + 1), dtype=np.complex128),
             np.zeros((nf, size, n, nh), dtype=np.complex128))
@@ -356,7 +365,10 @@ def _band_pipeline(grid, batch, product, nout, buffers=None):
         _in_place(_fft.ifft, slab, axis=2)
         p = _fft.irfft(work[:, :s], n=n, axis=-1, norm="forward")
         spec[:, x0:x0 + s] = _fft.rfft(product(p), axis=-1, norm="forward")[..., :b + 1]
-    return _band_forward(grid, spec)
+    _in_place(_fft.fft, spec, axis=1)
+    _in_place(_fft.fft, spec[:, :b + 1], axis=2)
+    _in_place(_fft.fft, spec[:, n - b:], axis=2)
+    return enforce_mean_zero(grid._band.cut(spec))
 
 
 def _require_band(grid, f, who):
@@ -436,9 +448,9 @@ def _leray_in_place(kd, k2, v):
 
 
 def spectral_product(grid, prod):
-    """Dealiased mean-zero half-spectrum of a physical-space product."""
-    spec = _fft.rfftn(prod, axes=(-1,), norm="forward")[..., :grid.band_edge + 1]
-    return grid._band.expand(_band_forward(grid, spec))
+    """Dealiased mean-zero half-spectrum of a physical-space product, by
+    the full forward transform: the reference the slab pipeline matches."""
+    return enforce_mean_zero(dealias(grid, to_spectral(grid, prod)))
 
 
 def advect(grid, v, U):

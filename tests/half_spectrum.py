@@ -1,11 +1,13 @@
 """Helpers shared by the solver tests: mode lookup in the stored
 half-spectrum, a field count over every scipy.fft entry point, the full
-transforms that the slab pipeline must reproduce, the run channels
-evaluated on the half-spectrum, and the traced memory peak of one call."""
+transforms that the slab pipeline must reproduce, the oscillating vorticity
+source through whole-cube transforms, the run channels evaluated on the
+half-spectrum, and the traced memory peak of one call."""
 
 import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import scipy.fft
@@ -13,6 +15,7 @@ import scipy.fft
 from qglab import (
     biot_savart,
     decompose,
+    derivative,
     enforce_mean_zero,
     from_spectral,
     l2_norm,
@@ -20,6 +23,7 @@ from qglab import (
     sobolev_norm,
     to_spectral,
 )
+from qglab.spectral import spectral_product
 from qglab.diagnostics import S_LIST, hs_channel
 from qglab.sweep import _QGDIFF_S
 
@@ -84,6 +88,31 @@ def full_pipeline(grid, batch, product, nout, buffers=None):
 def patch_full_transforms(monkeypatch, module):
     """Make ``module`` run its products through ``full_pipeline``."""
     monkeypatch.setattr(module, "_band_pipeline", full_pipeline)
+
+
+def full_osc_vorticity_source(grid, U_osc, U, U_qg, froude=1.0):
+    """``operators.osc_vorticity_source`` on whole cubes: its 18 factors
+    on the half-spectrum, inverse-transformed in three groups of six, and
+    the forward transform of ``spectral_product``."""
+    for W in (U_osc, U, U_qg):
+        grid.check_shape(np.asarray(W), 4)
+
+    dh = partial(derivative, grid)
+
+    def samples(*factors):
+        return from_spectral(grid, np.stack(factors))
+
+    # the sum's three groups of six factors, inverse-transformed one group
+    # at a time
+    p = samples(dh(U_osc[2], 3), dh(U[1], 1) - dh(U[0], 2), dh(U_osc[2], 1),
+                dh(U[1], 3), dh(U_osc[2], 2), dh(U[0], 3))
+    q = p[0] * p[1] - p[2] * p[3] + p[4] * p[5]
+    for W, V in ((U_qg, U_osc), (U_osc, U)):  # F d3 v_W . grad theta_V
+        del p
+        p = samples(*[dh(W[j], 3) for j in range(3)],
+                    *[froude * dh(V[3], ax) for ax in (1, 2, 3)])
+        q += p[0] * p[3] + p[1] * p[4] + p[2] * p[5]
+    return spectral_product(grid, q)
 
 
 def half_spectrum_pe_channels(grid, U, froude, reference=None):

@@ -28,7 +28,7 @@ from qglab import (
     sobolev_norm,
     vorticity_residual,
 )
-from qglab.checks import structure_defects, truncation_defects
+from qglab.checks import STRUCTURE_CHECKS, structure_defects, truncation_defects
 from qglab.config import default_config
 from qglab.pe_solver import _linear_symbols
 from qglab.sweep import run_convergence_sweep
@@ -68,17 +68,12 @@ def residual_records(grid):
 
 
 def test_criterion_1_structure_suite(grid):
+    # the tolerances are those of check-invariants, one table for both
     t0 = time.time()
-    tol_tight = 1e-10   # projections, orthogonality, skewness, solenoidality
-    tol_prod = 1e-8     # pseudo-spectral product identities
     worst = structure_defects(grid, np.random.default_rng(101), 200)
     elapsed = time.time() - t0
-    tight = ("projections", "orthogonality", "skewness", "solenoidal",
-             "diffusion identity")
-    products = ("transport/vorticity", "H1 cancellation")
     ok = (
-        max(worst[k] for k in tight) <= tol_tight
-        and max(worst[k] for k in products) <= tol_prod
+        all(worst[k] <= tol for k, (_, tol) in STRUCTURE_CHECKS.items())
         and elapsed < 60.0
     )
     detail = f"200 fields in {elapsed:.1f}s; " + ", ".join(

@@ -227,6 +227,12 @@ class TestBootstrapMonitor:
         assert abs(rep.threshold - math.log(2.0) / 2.0 * 5e-3) < 1e-15
         assert abs(rep.ratio - rep.integral / rep.threshold) < 1e-12
 
+    @pytest.mark.parametrize("c_const", [0.0, -1.0])
+    def test_nonpositive_constant_rejected(self, c_const):
+        s = self._series([(0.0, 0.1), (1.0, 0.1)])
+        with pytest.raises(ValueError, match="c_const must be positive"):
+            bootstrap_monitor(s, 1e-2, 5e-3, c_const=c_const)
+
 
 class TestEnergyCheck:
     def _series(self, rows):

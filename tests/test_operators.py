@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from qglab import (
+    Grid,
     Params,
     advect,
     biot_savart,
     coriolis_buoyancy,
+    dealias,
     decompose,
     derivative,
     from_spectral,
@@ -22,6 +24,9 @@ from qglab import (
     to_spectral,
 )
 from qglab.pe_solver import _linear_symbols
+from qglab.spectral import _plane_bytes, _slab_planes
+
+from half_spectrum import full_osc_vorticity_source
 
 
 def qg_field(grid, rng):
@@ -262,6 +267,28 @@ class TestOscVorticitySource:
         out = osc_vorticity_source(g, U_osc, U, U_qg)
         expected = w**2 * np.sin(w * x3) * np.sin(w * x1)
         assert np.abs(from_spectral(g, out) - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("froude", [1.0, 0.5])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_bit_identical_to_whole_cube_transforms(self, n, froude):
+        # three unrelated band-limited states of white noise; from n = 32 the
+        # 18 factors take more than one slab of the pipeline
+        g = Grid(n)
+        rng = np.random.default_rng([n, int(4 * froude)])
+        states = dealias(g, to_spectral(g, rng.standard_normal((3, 4) + (n,) * 3)))
+        assert (_slab_planes(n, _plane_bytes(n, 18, 1)) < n) == (n >= 32)
+        assert np.array_equal(osc_vorticity_source(g, *states, froude),
+                              full_osc_vorticity_source(g, *states, froude))
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_off_band_modes_are_dropped(self, n):
+        # the inputs are cut to the 2/3 band: the source of a state with
+        # off-band modes is, bit for bit, that of its dealiased state
+        g = Grid(n)
+        states = to_spectral(g, np.random.default_rng(n).standard_normal((3, 4) + (n,) * 3))
+        assert not np.array_equal(states, dealias(g, states))
+        assert np.array_equal(osc_vorticity_source(g, *states, 0.5),
+                              osc_vorticity_source(g, *dealias(g, states), 0.5))
 
     def test_horizontal_variation_term_vanishes(self, grid32):
         # same pair but v_osc3 varying in x1: d3 v_osc3 = 0 kills term one,

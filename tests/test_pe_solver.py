@@ -654,3 +654,13 @@ class TestVorticityResidualOnRuns:
                      small_diag(cadence=10, snapshot_every=50))
         with pytest.raises(ValueError):
             vorticity_residual(rec, params)
+
+    def test_qg_run_record_refused_before_any_operator(self, grid16, params, rng):
+        # a qg_run record's snapshots are vorticities, which would broadcast
+        # against the wavevector tables until advect failed on them
+        omega = potential_vorticity(grid16, random_state(grid16, rng))
+        rec = qg_run(grid16, omega, params, 0.03, 1e-3,
+                     small_diag(cadence=10, snapshot_every=10))
+        assert len(rec.snapshots) == 4
+        with pytest.raises(ValueError, match="needs a pe_run record"):
+            vorticity_residual(rec, params)

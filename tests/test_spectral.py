@@ -21,7 +21,11 @@ from qglab import (
     to_spectral,
 )
 from qglab.spectral import (
+    _SLAB_BYTES,
     _band_pipeline,
+    _pipeline_buffers,
+    _pipeline_bytes,
+    _plane_bytes,
     _require_band,
     spectral_product,
 )
@@ -412,7 +416,7 @@ class TestBandToPhysical:
 
 
 class TestBandProduct:
-    # the pipeline's forward half, and spectral_product, which shares it
+    # the pipeline's forward half, and spectral_product, the full transform it matches
     @pytest.mark.parametrize("lead", [(), (4,)])
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_bit_identical_to_masked_rfftn(self, n, lead):
@@ -446,6 +450,16 @@ class TestBandPipeline:
 
         assert np.array_equal(_band_pipeline(g, g._band.cut(f), product, 4),
                               full_pipeline(g, g._band.cut(f), product, 4))
+
+    @pytest.mark.parametrize("nf, nout", [(9, 4), (4, 1), (18, 1)])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_working_set_bounds_the_buffers(self, n, nf, nout):
+        # the k1 lines and the forward pass exactly, and a slab of as many
+        # planes as fit in the larger of _SLAB_BYTES and one plane
+        lines, spec, work = _pipeline_buffers(Grid(n), nf, nout)
+        slab = _pipeline_bytes(n, nf, nout) - lines.nbytes - spec.nbytes
+        assert slab == max(_SLAB_BYTES, _plane_bytes(n, nf, nout))
+        assert work.shape[1] * _plane_bytes(n, nf, nout) <= slab
 
     @pytest.mark.parametrize("n, one_slab", [(16, True), (64, False)])
     def test_slabs(self, n, one_slab):
