@@ -30,11 +30,14 @@ half-step factor Eh = exp(dt/2 M) alone, exp(dt M) = Eh Eh:
 M commutes with rotations about the vertical axis, so Eh at xi is
 R Eh(xi') R^T with xi' = (|xi_h|, 0, xi3) and R = diag(R_phi, 1, 1) turning
 xi' into xi. Eh is therefore built once per class (k1^2 + k2^2, |k3|) of the
-modes asked for, by batched scaling-and-squaring, which stays accurate where
-M is non-normal or defective, and rotated into each mode of the class. One
-builder, ``_factor``, makes the factor at any set of modes: the compact
-factor a run steps with, the one mode of ``matrix_at`` and the row blocks
-of a linear ``pe_step``; nothing off the band is held.
+modes asked for and rotated into each mode of the class. The class matrices
+are exponentiated together by ``_expm_batch``: scaling and squaring with a
+Pade degree per matrix, which stays accurate where M is non-normal or
+defective, run as array operations over the whole batch, with no
+per-matrix loop and no BLAS call. One builder, ``_factor``, makes the
+factor at any set of modes: the compact factor a run steps with, the one
+mode of ``matrix_at`` and the row blocks of a linear ``pe_step``; nothing
+off the band is held.
 
 Runs step only the 2/3 band, in the compact layout of the spectral module
 doc. The run loop ``_run``, shared with ``qg_solver.qg_run``, makes every
@@ -49,11 +52,11 @@ time, so no factor of the whole half-spectrum is held.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-import scipy.linalg
 
 from .diagnostics import S_LIST, NormSeries, _hs_norms, hs_channel
 from .config import _step_count
@@ -103,6 +106,120 @@ def _symbols(kd, params):
     m[:, np.arange(3), np.arange(3)] -= params.nu * k2[:, None]
     m[:, 3, 3] -= params.nu_prime * k2
     return m
+
+
+# the Pade degrees m of scaling and squaring with theta_m, the largest
+# ||A||_1 at which r_m(A) meets double precision (Higham 2005, Table 2.3),
+# and the coefficients b_j = (2m - j)! / (j! (m - j)!) of p_m(x) = sum b_j x^j
+_PADE = [(m, theta, [math.factorial(2 * m - j) / (math.factorial(j) * math.factorial(m - j))
+                     for j in range(m + 1)])
+         for m, theta in ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+                          (7, 9.504178996162932e-1), (9, 2.097847961257068),
+                          (13, 5.371920351148152))]
+# matrices per pass of _expm_batch: about 1 MB per (4, 4, chunk) temporary
+_EXPM_CHUNK = 8192
+
+
+def _mul(a, b):
+    """The matrix products of two (k, k, C) batches."""
+    return np.einsum("ijc,jkc->ikc", a, b)
+
+
+def _pade_uv(a, m, b):
+    """The odd and even parts U, V of p_m(a), p_m(a) = V + U and
+    p_m(-a) = V - U, for a (k, k, C) batch."""
+    eye = np.eye(a.shape[0])[:, :, None]
+    a2 = _mul(a, a)
+    if m == 13:
+        a4 = _mul(a2, a2)
+        a6 = _mul(a4, a2)
+        u = _mul(a, _mul(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (_mul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+        return u, v
+    powers = [eye, a2]  # a^(2j)
+    while len(powers) <= m // 2:
+        powers.append(_mul(powers[-1], a2))
+    u = _mul(a, sum(b[2 * j + 1] * x for j, x in enumerate(powers)))
+    v = sum(b[2 * j] * x for j, x in enumerate(powers))
+    return u, v
+
+
+def _solve(q, p):
+    """x with q x = p for (k, k, C) batches, by Gaussian elimination with
+    partial pivoting vectorized over the batch."""
+    k, c = q.shape[0], q.shape[-1]
+    aug = np.concatenate([q, p], axis=1)
+    cols = np.arange(c)
+    for j in range(k):
+        piv = j + np.abs(aug[j:, j]).argmax(axis=0)
+        row = aug[piv, :, cols].T
+        aug[piv, :, cols] = aug[j].T
+        aug[j] = row
+        for r in range(j + 1, k):
+            aug[r, j:] -= (aug[r, j] / aug[j, j]) * aug[j, j:]
+    x = aug[:, k:]
+    for j in reversed(range(k)):
+        for i in range(j + 1, k):
+            x[j] -= aug[j, i] * x[i]
+        x[j] /= aug[j, j]
+    return x
+
+
+def _expm_sorted(a, norm):
+    """exp of each matrix of a C-contiguous (k, k, C) batch whose 1-norms
+    ``norm`` ascend, so that each Pade degree and each squaring takes one
+    slice of the batch; ``a`` is overwritten."""
+    thetas = [theta for _, theta, _ in _PADE]
+    # degree m takes theta_{m-1} < norm <= theta_m, and 13 also every norm
+    # beyond theta_13, scaled by 2^-s to within it
+    bounds = [0, *np.searchsorted(norm, thetas[:-1], side="right"), len(norm)]
+    with np.errstate(divide="ignore"):
+        squarings = np.maximum(np.ceil(np.log2(norm / thetas[-1])), 0).astype(int)
+    np.ldexp(a, -squarings, out=a)
+    p, q = np.empty_like(a), np.empty_like(a)
+    for (m, _, b), lo, hi in zip(_PADE, bounds, bounds[1:]):
+        if hi > lo:
+            u, v = _pade_uv(a[..., lo:hi], m, b)
+            np.add(v, u, out=p[..., lo:hi])
+            np.subtract(v, u, out=q[..., lo:hi])
+    x = _solve(q, p)
+    for i in range(squarings.max(initial=0)):
+        lo = np.searchsorted(squarings, i, side="right")
+        x[..., lo:] = _mul(x[..., lo:], x[..., lo:])
+    return x
+
+
+def _expm_batch(a):
+    """exp of each matrix of a (C, k, k) batch, shape (C, k, k), by scaling
+    and squaring (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179): each
+    matrix takes its Pade degree and squaring count from its exact 1-norm,
+    each degree is evaluated for all of its matrices at once, with one
+    batched solve, and the squarings are masked per matrix. The matrices go
+    ``_EXPM_CHUNK`` at a time, so the temporaries do not grow with C, and
+    no BLAS call is made.
+
+    ValueError for a matrix that is not finite or whose 1-norm reaches
+    2^53, where the argument's own rounding error reaches 1 and no digit of
+    its exponential is determined (the relative condition number of exp at
+    a normal A is ||A||_2), and for an exponential that overflows.
+
+    The result is the transpose of a C-contiguous (k, k, C) array."""
+    a = np.asarray(a, dtype=np.float64)
+    out = np.empty(a.shape[1:] + a.shape[:1])
+    for start in range(0, len(a), _EXPM_CHUNK):
+        chunk = a[start:start + _EXPM_CHUNK]
+        norm = np.abs(chunk).sum(axis=1).max(axis=1)
+        if not (norm < 2.0**53).all():
+            raise ValueError("matrix exponential of a matrix that is not finite "
+                             "or whose 1-norm reaches 2^53")
+        order = np.argsort(norm)
+        x = _expm_sorted(chunk.transpose(1, 2, 0).take(order, axis=-1), norm[order])
+        if not np.isfinite(x).all():
+            raise ValueError("matrix exponential overflows")
+        out[..., start + order] = x
+    return out.transpose(2, 0, 1)
 
 
 def _linear_symbols(grid, params):
@@ -179,10 +296,11 @@ def _factor(grid, params, dt, i, j, k):
     that broadcast to S, with 0 <= k <= n/2; shape (4, 4) + S, C-contiguous,
     and the k=0 mode maps to 0.
 
-    One batched ``expm`` per class (k1^2 + k2^2, |k3|) of the modes'
-    Nyquist-zeroed integer wavenumbers, taken at xi' = (|xi_h|, 0, xi3), and
-    each mode takes its class's matrix E' rotated to R E' R^T with
-    cos phi = xi1 / |xi_h|, sin phi = xi2 / |xi_h| (the identity at xi_h = 0).
+    One ``_expm_batch`` call over the classes (k1^2 + k2^2, |k3|) of the
+    modes' Nyquist-zeroed integer wavenumbers, each taken at
+    xi' = (|xi_h|, 0, xi3), and each mode takes its class's matrix E'
+    rotated to R E' R^T with cos phi = xi1 / |xi_h|, sin phi = xi2 / |xi_h|
+    (the identity at xi_h = 0).
     """
     i, j, k = np.asarray(i), np.asarray(j), np.asarray(k)
     nh = grid.n // 2
@@ -196,9 +314,8 @@ def _factor(grid, params, dt, i, j, k):
     xi[:, 0] = np.sqrt(keys // nh)
     xi[:, 2] = keys % nh
     xi *= 2.0 * np.pi / grid.box_length
-    ec = scipy.linalg.expm((0.5 * float(dt)) * _symbols(xi, params))
-    half = np.take(np.ascontiguousarray(ec.transpose(1, 2, 0)),
-                   cls.reshape(key.shape), axis=-1)
+    ec = _expm_batch((0.5 * float(dt)) * _symbols(xi, params))
+    half = np.take(ec.transpose(1, 2, 0), cls.reshape(key.shape), axis=-1)
     kd = grid.kd1.ravel()
     kd1, kd2 = kd[i], kd[j]
     h_mag = np.sqrt(kd1**2 + kd2**2)
@@ -216,8 +333,8 @@ def build_propagator(grid, params, dt):
     """The :class:`LinearPropagator` of (dt/2) * (L - (1/eps) P A), its
     factor built by ``_factor`` on the 2/3 band; every call builds a new
     one, owned by its caller."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     return LinearPropagator(grid=grid, params=params, dt=float(dt),
                             half=_factor(grid, params, dt, *grid._band.index))
 
@@ -307,7 +424,7 @@ def pe_step(U, prop, *, nonlinear=True):
     out = np.empty_like(U)
     # a k1 row's factor and the temporaries of its build: about 256 bytes a
     # mode; the rows go by |k1|, so that +k1 and -k1, whose symmetry classes
-    # are the same, mostly share a block and its expm
+    # are the same, mostly share a block and its exponentials
     rows = _slab_planes(n, 256 * n * nh)
     order = np.argsort(np.abs(grid.k_int), kind="stable")
     for i in range(0, n, rows):

@@ -104,7 +104,7 @@ class Grid:
     random draws. ``band_edge = n // 3`` bounds the 2/3 band, |k_j| <=
     band_edge, which ``dealias_mask`` marks. The tables are all a grid
     holds, besides the compact band ``_band`` once a run asks for it: H^s
-    weights are built per call.
+    weights and ``kd_mag`` are built per call.
     """
 
     def __init__(self, n, box_length=2.0 * np.pi):
@@ -140,6 +140,11 @@ class Grid:
             keep.reshape(n, 1, 1) & keep.reshape(1, n, 1)
             & keep[:nh].reshape(1, 1, nh)
         )
+
+    @property
+    def kd_mag(self):
+        """|xi| of the Nyquist-zeroed tables, computed per call."""
+        return np.sqrt(self.kd_mag2)
 
     @cached_property
     def _band(self):
@@ -177,9 +182,10 @@ class _Band:
     k1 and k2 rows [0..b, n-b..n-1] in FFT order, k3 planes 0..b.
 
     ``kd1/kd2/kd3`` and ``kd_mag2`` are the grid's Nyquist-zeroed tables cut
-    to the band, so every per-mode operation gives the same bits here as on
-    the half-spectrum. The band holds no Nyquist mode, so ``kd_mag2`` is
-    also the true squared magnitude that its H^s weights take.
+    to the band, and ``kd_mag`` is the square root of ``kd_mag2``, held once
+    here, so every per-mode operation gives the same bits here as on the
+    half-spectrum. The band holds no Nyquist mode, so ``kd_mag2`` is also
+    the true squared magnitude that its H^s weights take.
     """
 
     def __init__(self, grid):
@@ -198,6 +204,7 @@ class _Band:
         self.kd2 = grid.kd2[:, self._rows]
         self.kd3 = grid.kd3[..., :b + 1]
         self.kd_mag2 = self.cut(grid.kd_mag2)
+        self.kd_mag = np.sqrt(self.kd_mag2)
 
     def norm_weights(self, s):
         """The band's H^s weights for each s of a sequence, shape (len(s),)
@@ -502,7 +509,7 @@ def max_divergence(grid, v):
     the wavevector tables of a Grid or of its compact band."""
     kd = (grid.kd1, grid.kd2, grid.kd3)
     div = np.abs(kd[0] * v[0] + kd[1] * v[1] + kd[2] * v[2])
-    kmag = np.sqrt(grid.kd_mag2)
+    kmag = grid.kd_mag
     rel = np.divide(div, kmag, out=np.zeros_like(div), where=kmag > 0)
     vmax = np.abs(v[:3]).max()
     if vmax == 0.0:

@@ -158,13 +158,13 @@ class TestPropagator:
         # (k1^2 + k2^2, |k3|) takes 671 values on the 4851 band modes the
         # build covers, and 120 x 16 on the 17408 stored modes
         batches = []
-        expm = scipy.linalg.expm
+        expm = qglab.pe_solver._expm_batch
 
         def counting(a):
             batches.append(np.shape(a))
             return expm(a)
 
-        monkeypatch.setattr(scipy.linalg, "expm", counting)
+        monkeypatch.setattr(qglab.pe_solver, "_expm_batch", counting)
         prop = build_propagator(grid32, params, 0.01)
         assert batches == [(671, 4, 4)]
         prop.factor_at(*np.ogrid[:32, :32, :17])
@@ -244,6 +244,74 @@ class TestPropagator:
     def test_rejects_nonpositive_dt(self, grid8, params):
         with pytest.raises(ValueError):
             build_propagator(grid8, params, 0.0)
+
+    def test_rejects_non_finite_or_overflowing_dt(self, grid8, params):
+        # nan and inf fail the dt check; at 1e300 the symbol's 1-norm is
+        # beyond 2^53 and no digit of its exponential is determined
+        for dt in (np.nan, np.inf, 1e300):
+            with pytest.raises(ValueError):
+                build_propagator(grid8, params, dt)
+
+
+def stress_batch(rng, count=400):
+    """Seeded symbols (dt/2) M of the literal assembly, rescaled to 1-norms
+    log-uniform in [1e-8, 1e3], also at 1e3 itself and near pi: random modes
+    at F in (1, 0.5) with nu != nu' or inviscid, and the defective inviscid
+    vertical-mode blocks."""
+    mats = []
+    for i in range(count):
+        froude = (1.0, 0.5)[i % 2]
+        if i % 4 < 2:
+            nu, nu_prime = 10 ** rng.uniform(-3, -1, 2)
+        else:
+            nu = nu_prime = INVISCID
+        kvec = rng.integers(-10, 11, 3) * 2.0 * np.pi / 3.0
+        if i % 5 == 0:
+            kvec[:2] = 0.0
+            nu = nu_prime = INVISCID
+        if not kvec.any():
+            kvec[2] = 1.0
+        p = Params(epsilon=float(10 ** rng.uniform(-4, 0)), nu=nu,
+                   nu_prime=nu_prime, froude=froude)
+        mats.append(symbol_reference(kvec, p))
+    mats = np.array(mats)
+    norms = 10 ** rng.uniform(-8, 3, count)
+    norms[:8] = 1e3
+    # a vertical mode at F = 1 turned by just over pi: the leading pivot of
+    # its Pade denominator all but vanishes
+    norms[10] = np.pi * (1.0 + 1e-9)
+    return mats * (norms / np.abs(mats).sum(axis=1).max(axis=1))[:, None, None]
+
+
+class TestExpmBatch:
+    def test_matches_scipy_on_a_stress_batch(self):
+        a = stress_batch(np.random.default_rng(25))
+        a = np.concatenate([a, np.zeros((3, 4, 4))])
+        norm = np.abs(a).sum(axis=1).max(axis=1)
+        # every Pade degree and 8 squarings at 1e3
+        thetas = [theta for _, theta, _ in qglab.pe_solver._PADE]
+        assert set(np.searchsorted(thetas, norm)) == set(range(len(thetas) + 1))
+        assert np.ceil(np.log2(norm.max() / thetas[-1])) >= 8
+        got = qglab.pe_solver._expm_batch(a)
+        want = scipy.linalg.expm(a)
+        rel = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+        assert np.all(rel <= 1e-13 * np.maximum(1.0, norm))
+        assert np.array_equal(got[-3:], np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+    def test_chunks_give_the_same_bits(self, monkeypatch):
+        a = stress_batch(np.random.default_rng(26), count=50)
+        whole = qglab.pe_solver._expm_batch(a)
+        monkeypatch.setattr(qglab.pe_solver, "_EXPM_CHUNK", 7)
+        assert np.array_equal(qglab.pe_solver._expm_batch(a), whole)
+
+    def test_empty_batch(self):
+        assert qglab.pe_solver._expm_batch(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
+    def test_rejects_a_non_finite_matrix(self):
+        a = np.zeros((3, 4, 4))
+        a[1, 2, 0] = np.nan
+        with pytest.raises(ValueError):
+            qglab.pe_solver._expm_batch(a)
 
 
 def small_diag(cadence=10, snapshot_every=0):

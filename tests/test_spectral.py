@@ -349,7 +349,7 @@ class TestBandLayout:
         # the cut keeps exactly the band: its expansion is the 2/3 cut
         assert np.array_equal(band.expand(c), dealias(g, f))
         assert np.array_equal(band.cut(band.expand(c)), c)
-        for name in ("kd1", "kd2", "kd3", "kd_mag2"):
+        for name in ("kd1", "kd2", "kd3", "kd_mag2", "kd_mag"):
             table = np.broadcast_to(getattr(g, name), g.shape)
             assert np.array_equal(np.broadcast_to(getattr(band, name), band.shape),
                                   band.cut(table))
